@@ -292,6 +292,11 @@ impl<T: Elem> DArray2<T> {
         (&self.rmap, &self.cmap)
     }
 
+    /// The caller's `(row, col)` grid coordinate, if a member.
+    pub(crate) fn my_coord(&self) -> Option<(usize, usize)> {
+        self.my_coord
+    }
+
 }
 
 #[cfg(test)]

@@ -18,17 +18,28 @@
 //! The general entry points are `copy_remap*`: `dst[i] = src[f(i)]`
 //! (and the 2-D analogue), which subsume plain assignment, transposition,
 //! shifts, and sub-range merges.
+//!
+//! **Remap cost model.** `f` is opaque, so each participating processor
+//! inspects destination indices itself. It first builds per-axis tables
+//! for both sides (owner coordinate, local slot, "is mine" flag per
+//! global index) in O(rows + cols), or O(n) in 1-D. The walk is then
+//! division-free: per element, `f`, a bounds check, and two flag loads per
+//! side. Owners and slots are looked up only for the elements this
+//! processor sends, receives or copies, so data movement is O(owned). A
+//! source member walks the whole destination, since it may serve any
+//! element. Any other member only receives, and walks just its own tile.
+//! An `f` that leaves the source extent panics, in every build.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Instant;
 
-use fx_core::Cx;
+use fx_core::{Cx, GroupHandle};
 
 use crate::array1::{DArray1, Dist1, Elem};
 use crate::array2::DArray2;
 use crate::dataflow::sync_edge;
-use crate::dist::DimMap;
+use crate::dist::{DimMap, Dist};
 use crate::plan::{
     copy_seg_runs, pack2, pack2_into, pack_seg_runs_into, unpack2, unpack2_chunk,
     unpack_seg_runs_chunk, Key1, Key2, Plan1, Plan2, Side1, Side2, WriteKind,
@@ -172,52 +183,12 @@ pub fn copy_shift1_range<T: Elem>(
     cx.note_pack_ns(pack_ns);
 }
 
-/// Immutable placement descriptor extracted from a 1-D array so that
-/// communication planning never aliases the storage borrows.
-struct Desc1 {
-    group: fx_core::GroupHandle,
-    map: DimMap,
-    replicated: bool,
-}
-
-impl Desc1 {
-    fn of<T: Elem>(a: &DArray1<T>) -> Self {
-        Desc1 {
-            group: a.group().clone(),
-            map: *a.map(),
-            replicated: matches!(a.dist(), Dist1::Replicated),
-        }
-    }
-
-    /// Local slot of global index `gi` on its owner.
-    #[inline]
-    fn slot(&self, gi: usize) -> usize {
-        if self.replicated {
-            gi
-        } else {
-            self.map.local_of(gi)
-        }
-    }
-
-    /// Physical owner serving `gi` to destination processor `dp`.
-    #[inline]
-    fn src_owner(&self, gi: usize, dp: usize) -> usize {
-        if self.replicated {
-            if self.group.contains_phys(dp) {
-                dp
-            } else {
-                self.group.phys(dp % self.group.len())
-            }
-        } else {
-            self.group.phys(self.map.owner(gi))
-        }
-    }
-}
-
 /// `dst[i] = src[f(i)]` for `i` in `range`, with explicit participation.
 ///
 /// Must be called by **every** member of the current group (SPMD), even
 /// those that will skip — the operation tag is allocated collectively.
+///
+/// Panics if `f` maps an index of `range` outside the source extent.
 pub fn copy_remap1_range<T: Elem>(
     cx: &mut Cx,
     dst: &mut DArray1<T>,
@@ -236,59 +207,15 @@ pub fn copy_remap1_range<T: Elem>(
     // it keeps its barrier. Never a sync point itself, in any mode.
     src.versions().borrow_mut().record_read(0..src.n());
     dst.versions().borrow_mut().record_write(range.clone(), WriteKind::Opaque);
-    let me = cx.phys_rank();
     if !src.is_member() && !dst.is_member() {
         return; // minimal-subset skip
     }
 
-    let s = Desc1::of(src);
-    let d = Desc1::of(dst);
-    let src_n = src.n();
-
-    let mut sends: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-    let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut local_bytes = 0usize;
-
-    // Small reusable buffer for the destination owners of one element.
-    let mut dsts: Vec<usize> = Vec::with_capacity(if d.replicated { d.group.len() } else { 1 });
-    for gi in range {
-        let sgi = f(gi);
-        debug_assert!(sgi < src_n, "remap sends {gi} to {sgi}, outside src extent {src_n}");
-        dsts.clear();
-        if d.replicated {
-            dsts.extend_from_slice(d.group.members());
-        } else {
-            dsts.push(d.group.phys(d.map.owner(gi)));
-        }
-        for &dp in &dsts {
-            let sp = s.src_owner(sgi, dp);
-            if sp == me {
-                let v = src.local()[s.slot(sgi)];
-                if dp == me {
-                    let slot = d.slot(gi);
-                    dst.local_mut()[slot] = v;
-                    local_bytes += std::mem::size_of::<T>();
-                } else {
-                    sends.entry(dp).or_default().push(v);
-                }
-            } else if dp == me {
-                recvs.entry(sp).or_default().push(d.slot(gi));
-            }
-        }
-    }
-
-    cx.charge_mem_bytes(2.0 * local_bytes as f64);
-    for (dp, buf) in sends {
-        cx.send_phys(dp, tag, buf);
-    }
-    for (sp, slots) in recvs {
-        let buf: Vec<T> = cx.recv_phys(sp, tag);
-        debug_assert_eq!(buf.len(), slots.len(), "communication set mismatch");
-        let local = dst.local_mut();
-        for (slot, v) in slots.into_iter().zip(buf) {
-            local[slot] = v;
-        }
-    }
+    let (s, d) = (Layout::of1(src), Layout::of1(dst));
+    let me = cx.phys_rank();
+    let f = |_, i| (0, f(i));
+    let traffic = remap_walk(me, d, dst.local_mut(), (0..1, range), s, src.local(), f);
+    traffic.exchange(cx, tag, dst.local_mut());
 }
 
 /// `dst[r][c] = src[f(r, c)]` for the whole destination.
@@ -413,6 +340,8 @@ fn plan_copy2<T: Elem>(
 }
 
 /// `dst[r][c] = src[f(r, c)]` with explicit participation mode.
+///
+/// Panics if `f` maps a destination index outside the source extent.
 pub fn copy_remap2_with<T: Elem>(
     cx: &mut Cx,
     dst: &mut DArray2<T>,
@@ -427,64 +356,241 @@ pub fn copy_remap2_with<T: Elem>(
     // Opaque write (see copy_remap1_range): taint source, never sync.
     src.versions().borrow_mut().record_read(0..src.rows() * src.cols());
     dst.versions().borrow_mut().record_write(0..dst.rows() * dst.cols(), WriteKind::Opaque);
-    let me = cx.phys_rank();
     if !src.is_member() && !dst.is_member() {
         return; // minimal-subset skip
     }
 
-    let (s_rmap, s_cmap) = {
-        let m = src.maps();
-        (*m.0, *m.1)
-    };
-    let (d_rmap, d_cmap) = {
-        let m = dst.maps();
-        (*m.0, *m.1)
-    };
-    let s_group = src.group().clone();
-    let d_group = dst.group().clone();
-    let s_grid_cols = src.grid().1;
-    let d_grid_cols = dst.grid().1;
-    let s_local_cols = src.local_dims().1;
-    let d_local_cols = dst.local_dims().1;
+    let (s, d) = (Layout::of2(src), Layout::of2(dst));
+    let me = cx.phys_rank();
+    let domain = (0..dst.rows(), 0..dst.cols());
+    let traffic = remap_walk(me, d, dst.local_mut(), domain, s, src.local(), f);
+    traffic.exchange(cx, tag, dst.local_mut());
+}
 
-    let mut sends: BTreeMap<usize, Vec<T>> = BTreeMap::new();
-    let mut recvs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut local_bytes = 0usize;
+/// Per-axis lookup tables of one remap side, indexed by global index.
+/// Built once per call in O(extent), so the per-element inspector does
+/// table loads instead of `DimMap` divisions.
+struct Axis {
+    /// Grid coordinate that owns each index.
+    own: Vec<usize>,
+    /// Local index of each index on its owner.
+    slot: Vec<usize>,
+    /// Does the caller's grid coordinate own the index?
+    mine: Vec<bool>,
+}
 
-    for r in 0..dst.rows() {
-        for c in 0..dst.cols() {
-            let (sr, sc) = f(r, c);
-            debug_assert!(sr < src.rows() && sc < src.cols(), "remap out of src bounds");
-            let sp = s_group.phys(s_rmap.owner(sr) * s_grid_cols + s_cmap.owner(sc));
-            let dp = d_group.phys(d_rmap.owner(r) * d_grid_cols + d_cmap.owner(c));
-            if sp == me {
-                let v = src.local()[s_rmap.local_of(sr) * s_local_cols + s_cmap.local_of(sc)];
-                if dp == me {
-                    let slot = d_rmap.local_of(r) * d_local_cols + d_cmap.local_of(c);
-                    dst.local_mut()[slot] = v;
-                    local_bytes += std::mem::size_of::<T>();
-                } else {
-                    sends.entry(dp).or_default().push(v);
-                }
-            } else if dp == me {
-                let slot = d_rmap.local_of(r) * d_local_cols + d_cmap.local_of(c);
-                recvs.entry(sp).or_default().push(slot);
+impl Axis {
+    fn new(map: &DimMap, my: Option<usize>) -> Self {
+        let own: Vec<usize> = (0..map.n).map(|i| map.owner(i)).collect();
+        let slot = (0..map.n).map(|i| map.local_of(i)).collect();
+        let mine = own.iter().map(|&c| Some(c) == my).collect();
+        Axis { own, slot, mine }
+    }
+}
+
+/// One side of a remap as seen by the calling processor: its group and
+/// per-axis tables. A 1-D array is the one-row case.
+struct Layout {
+    group: GroupHandle,
+    rows: Axis,
+    cols: Axis,
+    grid_cols: usize,
+    local_cols: usize,
+    /// 1-D `Replicated`: every member holds every element (see `server`).
+    replicated: bool,
+    member: bool,
+    one_d: bool,
+}
+
+impl Layout {
+    fn of1<T: Elem>(a: &DArray1<T>) -> Self {
+        let replicated = matches!(a.dist(), Dist1::Replicated);
+        let my = a.my_vrank();
+        // A replicated array's map is a single `*` coordinate.
+        let my_col = if replicated { my.map(|_| 0) } else { my };
+        Layout {
+            group: a.group().clone(),
+            rows: Axis::new(&DimMap::new(1, 1, Dist::Star), my.map(|_| 0)),
+            cols: Axis::new(a.map(), my_col),
+            grid_cols: a.map().q,
+            local_cols: 0,
+            replicated,
+            member: my.is_some(),
+            one_d: true,
+        }
+    }
+
+    fn of2<T: Elem>(a: &DArray2<T>) -> Self {
+        let (rmap, cmap) = a.maps();
+        let my = a.my_coord();
+        Layout {
+            group: a.group().clone(),
+            rows: Axis::new(rmap, my.map(|m| m.0)),
+            cols: Axis::new(cmap, my.map(|m| m.1)),
+            grid_cols: a.grid().1,
+            local_cols: a.local_dims().1,
+            replicated: false,
+            member: my.is_some(),
+            one_d: false,
+        }
+    }
+
+    /// Panic: destination `(r, c)` maps to `(sr, sc)`, outside this
+    /// (source) layout.
+    #[cold]
+    #[inline(never)]
+    fn outside(&self, r: usize, c: usize, sr: usize, sc: usize) -> ! {
+        let (n_r, n_c) = (self.rows.mine.len(), self.cols.mine.len());
+        if self.one_d {
+            panic!("copy_remap1: dst index {c} maps to src index {sc}, outside src extent {n_c}")
+        }
+        panic!(
+            "copy_remap2: dst ({r}, {c}) maps to src ({sr}, {sc}), \
+             outside src extent {n_r}x{n_c}"
+        )
+    }
+
+    /// Local slot of `(r, c)` on its owner.
+    #[inline]
+    fn slot(&self, r: usize, c: usize) -> usize {
+        self.rows.slot[r] * self.local_cols + self.cols.slot[c]
+    }
+
+    /// Physical owner of `(r, c)` (not meaningful when replicated).
+    #[inline]
+    fn owner(&self, r: usize, c: usize) -> usize {
+        self.group.phys(self.rows.own[r] * self.grid_cols + self.cols.own[c])
+    }
+
+    /// Physical processor serving `(r, c)` to destination `dp`: the owner,
+    /// or for a replicated array `dp` itself when it is a member and a
+    /// fixed member otherwise.
+    fn server(&self, r: usize, c: usize, dp: usize) -> usize {
+        if !self.replicated {
+            self.owner(r, c)
+        } else if self.group.contains_phys(dp) {
+            dp
+        } else {
+            self.group.phys(dp % self.group.len())
+        }
+    }
+}
+
+/// What one processor sends, receives and copies locally in a remap.
+struct Traffic<T> {
+    /// Values per destination processor, in destination row-major order.
+    sends: BTreeMap<usize, Vec<T>>,
+    /// Destination slots per source processor, in the same order.
+    recvs: BTreeMap<usize, Vec<usize>>,
+    /// Elements copied without communication.
+    local: usize,
+}
+
+impl<T: Elem> Traffic<T> {
+    fn copy(&mut self, dst: &mut [T], slot: usize, v: T) {
+        dst[slot] = v;
+        self.local += 1;
+    }
+
+    fn send(&mut self, dp: usize, v: T) {
+        self.sends.entry(dp).or_default().push(v);
+    }
+
+    fn recv(&mut self, sp: usize, slot: usize) {
+        self.recvs.entry(sp).or_default().push(slot);
+    }
+
+    /// Charge the local copy, then send ascending by destination and
+    /// receive ascending by source.
+    fn exchange(self, cx: &mut Cx, tag: u64, dst: &mut [T]) {
+        cx.charge_mem_bytes(2.0 * (self.local * std::mem::size_of::<T>()) as f64);
+        for (dp, buf) in self.sends {
+            cx.send_phys(dp, tag, buf);
+        }
+        for (sp, slots) in self.recvs {
+            let buf: Vec<T> = cx.recv_phys(sp, tag);
+            debug_assert_eq!(buf.len(), slots.len(), "communication set mismatch");
+            for (slot, v) in slots.into_iter().zip(buf) {
+                dst[slot] = v;
             }
         }
     }
+}
 
-    cx.charge_mem_bytes(2.0 * local_bytes as f64);
-    for (dp, buf) in sends {
-        cx.send_phys(dp, tag, buf);
+/// The remap inspector: `dst[r][c] = src[f(r, c)]` over `rows x cols` of
+/// the destination, from processor `me`'s point of view. Local elements
+/// are copied in place; the rest becomes [`Traffic`].
+///
+/// A source member may serve any destination element, so it walks the
+/// whole domain. Any other caller only receives, and walks just its own
+/// tile, in global row-major order restricted to the tile — the order
+/// the sender packs in. The layouts are consumed, so their tables are
+/// freed before the exchange can suspend this processor.
+fn remap_walk<T: Elem>(
+    me: usize,
+    d: Layout,
+    dst: &mut [T],
+    (rows, cols): (Range<usize>, Range<usize>),
+    s: Layout,
+    src: &[T],
+    f: impl Fn(usize, usize) -> (usize, usize),
+) -> Traffic<T> {
+    let domain = |range: Range<usize>, axis: &Axis| -> Vec<usize> {
+        range.filter(|&i| s.member || axis.mine[i]).collect()
+    };
+    let (rows, cols) = (domain(rows, &d.rows), domain(cols, &d.cols));
+    let mut t = Traffic { sends: BTreeMap::new(), recvs: BTreeMap::new(), local: 0 };
+    if !(s.replicated || d.replicated) {
+        // One owner per side: "is it mine" is two flag loads, and owners
+        // and slots are looked up only for actual traffic.
+        let (s_rows, s_cols, d_cols) = (&s.rows.mine[..], &s.cols.mine[..], &d.cols.mine[..]);
+        for &r in &rows {
+            let d_row = d.rows.mine[r];
+            for &c in &cols {
+                let (sr, sc) = f(r, c);
+                if sr >= s_rows.len() || sc >= s_cols.len() {
+                    s.outside(r, c, sr, sc);
+                }
+                if s_rows[sr] & s_cols[sc] {
+                    let v = src[s.slot(sr, sc)];
+                    if d_row & d_cols[c] {
+                        t.copy(dst, d.slot(r, c), v);
+                    } else {
+                        t.send(d.owner(r, c), v);
+                    }
+                } else if d_row & d_cols[c] {
+                    t.recv(s.owner(sr, sc), d.slot(r, c));
+                }
+            }
+        }
+        return t;
     }
-    for (sp, slots) in recvs {
-        let buf: Vec<T> = cx.recv_phys(sp, tag);
-        debug_assert_eq!(buf.len(), slots.len(), "communication set mismatch");
-        let local = dst.local_mut();
-        for (slot, v) in slots.into_iter().zip(buf) {
-            local[slot] = v;
+    // A replicated side: every destination member may need each element,
+    // each served by its own source copy.
+    for &r in &rows {
+        for &c in &cols {
+            let (sr, sc) = f(r, c);
+            if sr >= s.rows.mine.len() || sc >= s.cols.mine.len() {
+                s.outside(r, c, sr, sc);
+            }
+            let owner = [d.owner(r, c)];
+            let dps = if d.replicated { d.group.members() } else { &owner };
+            for &dp in dps {
+                let sp = s.server(sr, sc, dp);
+                if sp == me {
+                    let v = src[s.slot(sr, sc)];
+                    if dp == me {
+                        t.copy(dst, d.slot(r, c), v);
+                    } else {
+                        t.send(dp, v);
+                    }
+                } else if dp == me {
+                    t.recv(sp, d.slot(r, c));
+                }
+            }
         }
     }
+    t
 }
 
 #[cfg(test)]
@@ -681,5 +787,47 @@ mod tests {
             cx.now()
         });
         assert!(rep.results[2] >= 5.0, "g3 must stall in WholeGroup mode, got {}", rep.results[2]);
+    }
+
+    // An `f` leaving the source extent used to be caught only by a debug
+    // assertion: in release, `Block`'s owner clamped `(0, 8)` of a 4x8
+    // `(*, BLOCK)` array to the last processor and read the first element
+    // of the next local row (`src[1][6]`) into `dst[0][7]`.
+    #[test]
+    #[should_panic(expected = "copy_remap2: dst (0, 7) maps to src (0, 8), outside src extent 4x8")]
+    fn remap2_outside_src_extent_panics() {
+        spmd(&Machine::real(4), |cx| {
+            let g = cx.group();
+            let data: Vec<u32> = (0..32).collect();
+            let src = DArray2::from_global(cx, &g, [4, 8], (Dist::Star, Dist::Block), &data);
+            let mut dst = DArray2::new(cx, &g, [4, 8], (Dist::Star, Dist::Block), 0u32);
+            copy_remap2(cx, &mut dst, &src, |r, c| if (r, c) == (0, 7) { (0, 8) } else { (r, c) });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "copy_remap1: dst index 5 maps to src index 9, outside src extent 9")]
+    fn remap1_outside_src_extent_panics() {
+        spmd(&Machine::real(3), |cx| {
+            let g = cx.group();
+            let data: Vec<u16> = (0..9).collect();
+            let src = DArray1::from_global(cx, &g, Dist1::Block, &data);
+            let mut dst = DArray1::new(cx, &g, 9, Dist1::Cyclic, 0u16);
+            copy_remap1(cx, &mut dst, &src, |i| if i == 5 { 9 } else { i });
+        });
+    }
+
+    // Receivers outside the source group check only their own tile; the
+    // source member catches the bad index and the run still fails.
+    #[test]
+    #[should_panic(expected = "outside src extent 6")]
+    fn remap1_outside_src_extent_panics_across_groups() {
+        spmd(&Machine::real(3), |cx| {
+            let part = cx.task_partition(&[("s", Size::Procs(1)), ("d", Size::Rest)]);
+            let data: Vec<u16> = (0..6).collect();
+            let src = DArray1::from_global(cx, &part.group("s"), Dist1::Block, &data);
+            let mut dst = DArray1::new(cx, &part.group("d"), 6, Dist1::Block, 0u16);
+            copy_remap1(cx, &mut dst, &src, |i| if i == 0 { 6 } else { i });
+        });
     }
 }
