@@ -4,47 +4,144 @@
 //! test oracle. The FFT-Hist, radar and stereo applications call these on
 //! the rows/columns they own; [`fft_flops`] is the standard operation
 //! count the simulator charges for one transform.
+//!
+//! # Plans
+//!
+//! Every radix-2 transform runs through an [`FftPlan`], which holds what
+//! depends only on the length and direction:
+//!
+//! * the bit-reversal swap pairs `(i, j)`, `i < j`;
+//! * one twiddle table per butterfly stage — `n - 1` complex numbers in
+//!   all, so a length-256 plan is about 4 KiB.
+//!
+//! Building a plan costs one pass of the twiddle recurrence (a couple of
+//! microseconds at n = 256), so callers build one per batch of
+//! transforms rather than caching them. [`FftPlan::run`] transforms one
+//! contiguous vector; [`FftPlan::run_columns`] transforms every column of
+//! a row-major tile in place, swapping whole rows and running each
+//! butterfly across the contiguous elements of a row pair.
+//!
+//! # Bit identity
+//!
+//! A planned transform is bit-for-bit the textbook iterative kernel that
+//! recomputes `w = 1; w *= wlen` inside every block of every stage: each
+//! table entry is produced by exactly that recurrence (same `wlen`, same
+//! multiplications, in the same order), the butterfly is the same
+//! `u + v·w`, `u − v·w` with `v·w` formed the same way, and Rust does not
+//! contract `a·b − c·d` into fused multiply-adds. Columns of a tile go
+//! through the same operations as a gathered column would. So virtual
+//! times, histograms and oracles do not move when code switches between
+//! [`fft_in_place`], [`FftPlan::run`] and [`FftPlan::run_columns`].
 
 use crate::complex::Complex;
 
-/// In-place radix-2 FFT. `data.len()` must be a power of two.
-/// `inverse` computes the unscaled inverse transform; callers divide by
-/// `n` themselves if they need the unitary roundtrip.
-pub fn fft_in_place(data: &mut [Complex], inverse: bool) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "radix-2 FFT needs a power-of-two length, got {n}");
-    if n <= 1 {
-        return;
-    }
+/// A radix-2 FFT of one power-of-two length and direction, built once
+/// and run on any number of vectors or tile columns (see the module
+/// docs). Length 0 is allowed and every run of it is a no-op.
+#[derive(Debug, Clone)]
+pub struct FftPlan {
+    n: usize,
+    /// Pairs exchanged by the bit-reversal permutation, `i < j`.
+    swaps: Vec<(usize, usize)>,
+    /// Every stage's twiddles, concatenated: the stage whose butterflies
+    /// span `half` elements owns `twiddles[half - 1..2 * half - 1]`.
+    twiddles: Vec<Complex>,
+}
 
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-
-    // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w *= wlen;
+impl FftPlan {
+    /// Plan a length-`n` transform. `inverse` selects the unscaled
+    /// inverse. Panics unless `n` is zero or a power of two.
+    pub fn new(n: usize, inverse: bool) -> Self {
+        assert!(n == 0 || n.is_power_of_two(), "radix-2 FFT needs a power-of-two length, got {n}");
+        let mut swaps = Vec::new();
+        if n > 1 {
+            let bits = n.trailing_zeros();
+            for i in 0..n {
+                let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
+                if i < j {
+                    swaps.push((i, j));
+                }
             }
         }
-        len <<= 1;
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::cis(ang);
+            let mut w = Complex::ONE;
+            for _ in 0..len / 2 {
+                twiddles.push(w);
+                w *= wlen;
+            }
+            len <<= 1;
+        }
+        FftPlan { n, swaps, twiddles }
     }
+
+    /// `(half, twiddles)` of each butterfly stage, smallest first.
+    fn stages(&self) -> impl Iterator<Item = (usize, &[Complex])> + '_ {
+        std::iter::successors(Some(1usize), |h| Some(h << 1))
+            .take_while(move |&h| h < self.n)
+            .map(move |h| (h, &self.twiddles[h - 1..2 * h - 1]))
+    }
+
+    /// Transform `data` in place. `data.len()` must equal the plan length.
+    pub fn run(&self, data: &mut [Complex]) {
+        assert_eq!(data.len(), self.n, "FFT plan length mismatch");
+        for &(i, j) in &self.swaps {
+            data.swap(i, j);
+        }
+        for (half, tw) in self.stages() {
+            for block in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi).zip(tw) {
+                    butterfly(a, b, w);
+                }
+            }
+        }
+    }
+
+    /// Transform every column of the row-major `n x cols` tile `data` in
+    /// place — bitwise the same as gathering each column, running
+    /// [`FftPlan::run`] on it and scattering it back.
+    pub fn run_columns(&self, data: &mut [Complex], cols: usize) {
+        assert_eq!(data.len(), self.n * cols, "FFT plan length mismatch");
+        if cols == 0 {
+            return;
+        }
+        for &(i, j) in &self.swaps {
+            let (head, tail) = data.split_at_mut(j * cols);
+            head[i * cols..(i + 1) * cols].swap_with_slice(&mut tail[..cols]);
+        }
+        for (half, tw) in self.stages() {
+            for block in data.chunks_exact_mut(2 * half * cols) {
+                let (lo, hi) = block.split_at_mut(half * cols);
+                let pairs = lo.chunks_exact_mut(cols).zip(hi.chunks_exact_mut(cols));
+                for ((lo_row, hi_row), &w) in pairs.zip(tw) {
+                    for (a, b) in lo_row.iter_mut().zip(hi_row) {
+                        butterfly(a, b, w);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn butterfly(a: &mut Complex, b: &mut Complex, w: Complex) {
+    let u = *a;
+    let v = *b * w;
+    *a = u + v;
+    *b = u - v;
+}
+
+/// In-place radix-2 FFT. `data.len()` must be zero or a power of two.
+/// `inverse` computes the unscaled inverse transform; callers divide by
+/// `n` themselves if they need the unitary roundtrip. To transform many
+/// vectors of one length, build an [`FftPlan`] once instead.
+pub fn fft_in_place(data: &mut [Complex], inverse: bool) {
+    FftPlan::new(data.len(), inverse).run(data);
 }
 
 /// Forward FFT returning a new vector.
@@ -102,12 +199,13 @@ pub fn fft_any(data: &[Complex], inverse: bool) -> Vec<Complex> {
             b[m - k] = c;
         }
     }
-    fft_in_place(&mut a, false);
-    fft_in_place(&mut b, false);
+    let forward = FftPlan::new(m, false);
+    forward.run(&mut a);
+    forward.run(&mut b);
     for (x, y) in a.iter_mut().zip(&b) {
         *x *= *y;
     }
-    fft_in_place(&mut a, true);
+    FftPlan::new(m, true).run(&mut a);
     let scale = 1.0 / m as f64;
     (0..n).map(|k| (a[k] * chirp[k]).scale(scale)).collect()
 }
@@ -281,6 +379,30 @@ mod tests {
     fn non_power_of_two_rejected() {
         let mut x = vec![Complex::ZERO; 12];
         fft_in_place(&mut x, false);
+    }
+
+    #[test]
+    fn empty_length_is_a_no_op() {
+        assert!(fft(&[]).is_empty());
+        assert!(ifft(&[]).is_empty());
+        let mut empty: [Complex; 0] = [];
+        fft_in_place(&mut empty, false);
+        fft_in_place(&mut empty, true);
+        FftPlan::new(0, false).run(&mut empty);
+        FftPlan::new(0, true).run_columns(&mut empty, 7);
+    }
+
+    #[test]
+    fn unit_length_is_the_identity() {
+        // n = 1 has zero index bits; the bit-reversal shift `>> (32 - bits)`
+        // would overflow, so the plan must not take it.
+        let x = [Complex::new(0.25, -3.5)];
+        assert_eq!(fft(&x), x);
+        assert_eq!(ifft(&x), x);
+        let mut tile = [Complex::new(1.0, 2.0), Complex::new(-0.5, 0.0), Complex::new(7.0, -1.0)];
+        let before = tile;
+        FftPlan::new(1, false).run_columns(&mut tile, 3);
+        assert_eq!(tile, before);
     }
 
     #[test]
