@@ -96,8 +96,8 @@ fn empty_message_ablation() {
         dst.local_mut().copy_from_slice(&got[me]);
         cx.now()
     });
-    let exact_msgs: u64 = exact.traffic.iter().map(|(m, _)| m).sum();
-    let naive_msgs: u64 = naive.traffic.iter().map(|(m, _)| m).sum();
+    let exact_msgs = exact.total().sends;
+    let naive_msgs = naive.total().sends;
     println!(
         "   exact sets (paper)           {exact_msgs:4} messages, {:.4} s",
         exact.makespan()

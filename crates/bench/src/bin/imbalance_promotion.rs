@@ -126,7 +126,7 @@ where
         off.results, on.results,
         "{app} skew={skew} p={p}: heartbeat changed the results"
     );
-    let stats = on.promote_total();
+    let stats = on.total();
     let (t_off, t_on) = (off.makespan(), on.makespan());
     if never_later {
         assert!(
@@ -134,7 +134,7 @@ where
             "{app} skew={skew} p={p}: heartbeat made completion later (off {t_off} on {t_on})"
         );
     }
-    if stats.taken == 0 {
+    if stats.promotions_taken == 0 {
         assert_eq!(
             t_on.to_bits(),
             t_off.to_bits(),
@@ -152,8 +152,8 @@ where
         on: t_on,
         ideal: mean,
         imbalance: max - mean,
-        taken: stats.taken,
-        attempted: stats.attempted,
+        taken: stats.promotions_taken,
+        attempted: stats.promotions_attempted,
     }
 }
 

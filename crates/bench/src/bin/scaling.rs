@@ -30,7 +30,7 @@ fn main() {
             qsort_global(cx, &keys);
         });
         let t = rep.makespan();
-        let msgs: u64 = rep.traffic.iter().map(|(m, _)| m).sum();
+        let msgs = rep.total().sends;
         println!("{p:>6} {t:>12.4} {:>8.2} {msgs:>10}", t1 / t);
     }
     println!();
@@ -52,7 +52,7 @@ fn main() {
             bh_forces(cx, &bodies, &cfg);
         });
         let t = rep.makespan();
-        let msgs: u64 = rep.traffic.iter().map(|(m, _)| m).sum();
+        let msgs = rep.total().sends;
         println!("{p:>6} {t:>12.4} {:>8.2} {msgs:>10}", t1 / t);
     }
     println!();

@@ -74,13 +74,12 @@ fn fan_in_ns(machine: &Machine, fan_in: usize, elems: usize, rounds: usize) -> f
             0.0
         }
     });
-    // Exercise the merged-totals path on every telemetry run so the bench
-    // doubles as a smoke test for HostStats::merge / the final snapshot.
-    if let Some(snap) = &rep.telemetry {
-        let total = snap.total();
-        let host = rep.host_stats_total();
-        assert_eq!(total.sends, host.chunk_msgs, "registry vs HostStats chunk messages");
-        assert_eq!(total.chunk_bytes, host.chunk_bytes, "registry vs HostStats chunk bytes");
+    // Every round each sender ships one chunk and rank 0 acks it on the
+    // chunk path, so the pattern fixes the message count exactly. Checked
+    // on the report and, when attached, on the registry snapshot.
+    let expect = (2 * fan_in * (warmup + rounds)) as u64;
+    for t in rep.telemetry.iter().map(|s| s.total()).chain([rep.total()]) {
+        assert_eq!((t.sends, t.chunk_msgs), (expect, expect), "fan-in message count");
     }
     rep.results[0]
 }

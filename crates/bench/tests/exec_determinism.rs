@@ -27,10 +27,15 @@ use fx_bench::{fft_hist_chain_model, run_fft_hist_dp, run_fft_hist_mapping, para
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_darray::{assign1, DArray1, Dist1, Participation};
 use fx_mapping::{tradeoff_frontier, Mapping, Segment};
-use fx_runtime::Executor;
+use fx_runtime::{Executor, ProcTotals};
 
 fn bits(ts: &[f64]) -> Vec<u64> {
     ts.iter().map(|t| t.to_bits()).collect()
+}
+
+/// Per-processor (messages, bytes) sent.
+fn traffic(counters: &[ProcTotals]) -> Vec<(u64, u64)> {
+    counters.iter().map(|c| (c.sends, c.send_bytes)).collect()
 }
 
 /// Run `f` under the pooled executor (2 workers — fewer than the
@@ -53,7 +58,8 @@ where
             "{label}: virtual times diverged between executors (profiled={profiled})"
         );
         assert_eq!(
-            pooled.traffic, threaded.traffic,
+            traffic(&pooled.counters),
+            traffic(&threaded.counters),
             "{label}: per-processor traffic diverged (profiled={profiled})"
         );
         assert_eq!(
@@ -221,7 +227,7 @@ fn heartbeat_promotable_workloads() {
     };
     assert_bitwise("heartbeat/ramp", &paragon(8).with_heartbeat(true), ramp);
     let rep = spmd(&paragon(8).with_heartbeat(true), ramp);
-    assert!(rep.promote_total().taken > 0, "ramp fired no donations");
+    assert!(rep.total().promotions_taken > 0, "ramp fired no donations");
 
     // Quicksort's bucketed promotable base case on high-skewed keys.
     let keys: Vec<i64> = (0..6000)

@@ -21,10 +21,15 @@ use fx_bench::{fft_hist_chain_model, paragon, run_fft_hist_dp, run_fft_hist_mapp
 use fx_core::{spmd, Cx, Machine, MachineModel};
 use fx_darray::Participation;
 use fx_mapping::{tradeoff_frontier, Mapping, Segment};
-use fx_runtime::Executor;
+use fx_runtime::{Executor, ProcTotals};
 
 fn bits(ts: &[f64]) -> Vec<u64> {
     ts.iter().map(|t| t.to_bits()).collect()
+}
+
+/// Per-processor (messages, bytes) sent.
+fn traffic(counters: &[ProcTotals]) -> Vec<(u64, u64)> {
+    counters.iter().map(|c| (c.sends, c.send_bytes)).collect()
 }
 
 /// Run `f` with tracing off and on — under both executors, profiled
@@ -48,7 +53,8 @@ where
                 "{label}: tracing moved the virtual clock (profiled={profiled}, {exec:?})"
             );
             assert_eq!(
-                off.traffic, on.traffic,
+                traffic(&off.counters),
+                traffic(&on.counters),
                 "{label}: tracing changed traffic (profiled={profiled}, {exec:?})"
             );
             if profiled {

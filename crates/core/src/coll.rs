@@ -489,6 +489,6 @@ mod tests {
             (b, r, g, ag, ar)
         });
         assert_eq!(rep.results[0], (9, Some(5), Some(vec![1]), vec![2], 3));
-        assert_eq!(rep.traffic[0].0, 0, "no messages for singleton group");
+        assert_eq!(rep.counters[0].sends, 0, "no messages for singleton group");
     }
 }

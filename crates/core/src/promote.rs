@@ -475,7 +475,7 @@ mod tests {
                 assert_eq!(res[i], (i as u64) * (i as u64), "rank {rank} iter {i}");
             }
         }
-        assert!(rep.promote_total().attempted > 0, "skewed loop never heartbeat");
+        assert!(rep.total().promotions_attempted > 0, "skewed loop never heartbeat");
     }
 
     #[test]
@@ -503,7 +503,7 @@ mod tests {
         // must agree even though `on` computes some iterations remotely.
         assert_eq!(off.results, on.results);
         let (t_off, t_on) = (off.makespan(), on.makespan());
-        assert!(on.promote_total().taken > 0, "no grant fired on a skewed loop");
+        assert!(on.total().promotions_taken > 0, "no grant fired on a skewed loop");
         assert!(
             t_on < t_off,
             "promotion did not improve the makespan: on={t_on} off={t_off}"
@@ -550,10 +550,10 @@ mod tests {
             );
             hits
         });
-        let total = rep.promote_total();
-        assert_eq!((total.attempted, total.taken, total.declined), (0, 0, 0));
-        let msgs: u64 = rep.traffic.iter().map(|t| t.0).sum();
-        assert_eq!(msgs, 0, "off-mode promotable loop sent messages");
+        let t = rep.total();
+        let promotions = (t.promotions_attempted, t.promotions_taken, t.promotions_declined);
+        assert_eq!(promotions, (0, 0, 0));
+        assert_eq!(t.sends, 0, "off-mode promotable loop sent messages");
         for (r, hits) in rep.results.iter().enumerate() {
             assert_eq!(*hits as usize, block_range(0..64, 4, r).len());
         }
@@ -584,12 +584,19 @@ mod tests {
         let off = run(false);
         let on = run(true);
         assert_eq!(off.results, on.results);
-        assert!(on.promote_total().attempted > 0, "loop never heartbeat");
-        assert_eq!(on.promote_total().taken, 0, "balanced loop still donated");
+        assert!(on.total().promotions_attempted > 0, "loop never heartbeat");
+        let taken = on.total().promotions_taken;
+        assert_eq!(taken, 0, "balanced loop still donated");
         for (a, b) in off.times.iter().zip(on.times.iter()) {
             assert_eq!(a.to_bits(), b.to_bits(), "no-donation run re-timed a processor");
         }
-        assert_eq!(off.traffic, on.traffic, "no-donation run changed message traffic");
+        for (a, b) in off.counters.iter().zip(&on.counters) {
+            assert_eq!(
+                (a.sends, a.send_bytes),
+                (b.sends, b.send_bytes),
+                "no-donation run changed message traffic"
+            );
+        }
     }
 
     #[test]

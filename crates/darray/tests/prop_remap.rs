@@ -253,9 +253,10 @@ where
         cx.charge_seconds(1e-5 * (cx.phys_rank() as f64 + 1.0));
         prog(cx, oracle)
     });
+    let traffic = rep.counters.iter().map(|c| (c.sends, c.send_bytes)).collect();
     Outcome {
         results: rep.results,
-        traffic: rep.traffic,
+        traffic,
         time_bits: rep.times.iter().map(|t| t.to_bits()).collect(),
     }
 }

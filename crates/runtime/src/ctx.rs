@@ -10,21 +10,26 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::coro::{YieldKind, Yielder};
-use crate::heartbeat::{HeartbeatBoard, HeartbeatMode, PromoteStats};
+use crate::counters::{bump, Counters, ProcTotals};
+use crate::heartbeat::{HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::{Envelope, Mailbox};
 use crate::model::TimeMode;
 use crate::pool::Pool;
 use crate::payload::{erase, unerase, BufferPool, Chunk, MsgBody, Payload};
-use crate::run::DataflowMode;
+use crate::run::{DataflowMode, ProcOutcome};
 use crate::span::{span_ref, Span, SpanKind, SpanLog, TraceCtx};
 use crate::telemetry::{ProcShard, Telemetry};
-use crate::trace::{DataflowStats, EventLog, HostStats, PlanStats};
+use crate::trace::EventLog;
 
 /// Shared state of one run of the machine.
 pub(crate) struct World {
     pub nprocs: usize,
     pub mode: TimeMode,
     pub mailboxes: Vec<Mailbox>,
+    /// One counter block per processor, indexed by rank (see
+    /// [`crate::ProcTotals`]). Allocated on every run; telemetry shards
+    /// share these same blocks.
+    pub counters: Vec<Arc<Counters>>,
     pub recv_timeout: Duration,
     /// Record duration spans (see [`crate::Span`]) during the run.
     pub profile: bool,
@@ -80,17 +85,9 @@ pub struct ProcCtx {
     /// Wall-clock start, for real-time mode.
     start: Instant,
     events: EventLog,
-    /// Counts messages/bytes for reporting.
-    sent_msgs: u64,
-    sent_bytes: u64,
-    /// Communication-plan instrumentation (host-side only; never affects
-    /// the virtual clock).
-    plan_stats: PlanStats,
-    /// Dataflow barrier-elision counters (always counted; the data-parallel
-    /// layer's classifier reports each sync-point decision here).
-    dataflow_stats: DataflowStats,
-    /// Transport instrumentation (host-side only).
-    host: HostStats,
+    /// This processor's counter block (`world.counters[rank]`); this
+    /// context is its only writer.
+    counters: Arc<Counters>,
     /// Recycled message-buffer storage for the chunk fast path.
     pool: BufferPool,
     /// True when the machine profiles and time is simulated: duration
@@ -124,8 +121,6 @@ pub struct ProcCtx {
     /// Pure accumulation alongside the clock: it never feeds back into
     /// any charge, so arming the heartbeat cannot move virtual time.
     hb_acc: f64,
-    /// Promotion counters (see [`PromoteStats`]).
-    promote: PromoteStats,
 }
 
 impl ProcCtx {
@@ -142,6 +137,7 @@ impl ProcCtx {
         let profile = world.profile && world.mode.is_simulated();
         let tracing = world.tracing;
         let tl = world.telemetry.as_ref().map(|t| t.shard(rank));
+        let counters = Arc::clone(&world.counters[rank]);
         ProcCtx {
             rank,
             world,
@@ -149,11 +145,7 @@ impl ProcCtx {
             clock: 0.0,
             start,
             events: EventLog::default(),
-            sent_msgs: 0,
-            sent_bytes: 0,
-            plan_stats: PlanStats::default(),
-            dataflow_stats: DataflowStats::default(),
-            host: HostStats::default(),
+            counters,
             pool: BufferPool::default(),
             profile,
             tracing,
@@ -166,7 +158,6 @@ impl ProcCtx {
             scope_ids: HashMap::new(),
             scope_id_stack: Vec::new(),
             hb_acc: 0.0,
-            promote: PromoteStats::default(),
         }
     }
 
@@ -303,8 +294,6 @@ impl ProcCtx {
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
         self.span_send(v0, dst, tag, arrival);
-        self.sent_msgs += 1;
-        self.sent_bytes += nbytes as u64;
         let contended = self.world.mailboxes[dst].deposit(Envelope {
             src: self.rank,
             tag,
@@ -314,16 +303,29 @@ impl ProcCtx {
             trace: self.outgoing_trace(),
             payload: MsgBody::Boxed(payload),
         });
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.host.send_ns += ns;
+        self.count_send(t0, nbytes as u64, false, contended, dst, tag);
+    }
+
+    /// Counters (and, with telemetry, histogram and flight slot) for one
+    /// send that started at host time `t0`. Shared by both payload paths.
+    #[inline]
+    fn count_send(&self, t0: Instant, nbytes: u64, chunk: bool, contended: bool, dst: usize, tag: u64) {
+        let c = &*self.counters;
+        bump(&c.sends, 1);
+        bump(&c.send_bytes, nbytes);
+        bump(&c.send_ns, t0.elapsed().as_nanos() as u64);
+        bump(&c.progress, 1);
+        if chunk {
+            bump(&c.chunk_msgs, 1);
+            bump(&c.chunk_bytes, nbytes);
+        }
+        if contended {
+            bump(&c.lane_contention, 1);
+        }
         if let Some(sh) = &self.tl {
-            // Same `ns` as HostStats, so the two reconcile exactly; the
-            // wall timestamp reuses `t0` (no extra clock syscall).
+            // The wall timestamp reuses `t0` (no extra clock syscall).
             let wall = t0.duration_since(self.start).as_nanos() as u64;
-            sh.on_send(nbytes as u64, false, ns, wall, self.vbits(), dst, tag);
-            if contended {
-                sh.on_lane_contention();
-            }
+            sh.on_send(nbytes, chunk, wall, self.vbits(), dst, tag);
         }
     }
 
@@ -344,13 +346,9 @@ impl ProcCtx {
     /// An empty chunk for `elems` elements of type `T`, drawn from this
     /// processor's buffer pool (no allocation once the pool is warm).
     pub fn chunk_for<T: Copy + Send + 'static>(&mut self, elems: usize) -> Chunk {
-        let bytes = self.pool.acquire(elems * std::mem::size_of::<T>());
-        if let Some(sh) = &self.tl {
-            // Absolute stores (this thread is the only writer), mirroring
-            // the pool's own counters so HostStats and the registry agree.
-            sh.pool_hits.store(self.pool.hits, std::sync::atomic::Ordering::Relaxed);
-            sh.pool_misses.store(self.pool.misses, std::sync::atomic::Ordering::Relaxed);
-        }
+        let (bytes, recycled) = self.pool.acquire(elems * std::mem::size_of::<T>());
+        let c = &*self.counters;
+        bump(if recycled { &c.pool_hits } else { &c.pool_misses }, 1);
         Chunk::from_bytes::<T>(bytes)
     }
 
@@ -373,10 +371,6 @@ impl ProcCtx {
         let v0 = self.clock;
         let arrival = self.charge_send(nbytes);
         self.span_send(v0, dst, tag, arrival);
-        self.sent_msgs += 1;
-        self.sent_bytes += nbytes as u64;
-        self.host.chunk_msgs += 1;
-        self.host.chunk_bytes += nbytes as u64;
         let contended = self.world.mailboxes[dst].deposit(Envelope {
             src: self.rank,
             tag,
@@ -386,15 +380,7 @@ impl ProcCtx {
             trace: self.outgoing_trace(),
             payload: MsgBody::Chunk(chunk),
         });
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.host.send_ns += ns;
-        if let Some(sh) = &self.tl {
-            let wall = t0.duration_since(self.start).as_nanos() as u64;
-            sh.on_send(nbytes as u64, true, ns, wall, self.vbits(), dst, tag);
-            if contended {
-                sh.on_lane_contention();
-            }
-        }
+        self.count_send(t0, nbytes as u64, true, contended, dst, tag);
     }
 
     /// Receive a [`Chunk`] from processor `src` on channel `tag`. After
@@ -466,7 +452,11 @@ impl ProcCtx {
             ),
         };
         let waited = t0.elapsed().as_nanos() as u64;
-        self.host.recv_wait_ns += waited;
+        let c = &*self.counters;
+        bump(&c.recvs, 1);
+        bump(&c.recv_bytes, env.nbytes as u64);
+        bump(&c.recv_wait_ns, waited);
+        bump(&c.progress, 1);
         if let Some(sh) = &self.tl {
             let wall = t0.duration_since(self.start).as_nanos() as u64 + waited;
             sh.on_recv(env.nbytes as u64, waited, wall, self.vbits(), src, tag);
@@ -568,9 +558,11 @@ impl ProcCtx {
 
     /// Push a component onto the span scope path (`"G1"`, `"assign2"`,
     /// …). Subsequent spans are tagged `parent/…/name` until the matching
-    /// [`ProcCtx::pop_scope`]. No-op when neither profiling nor telemetry
-    /// is active.
+    /// [`ProcCtx::pop_scope`]. When neither profiling nor telemetry is
+    /// active the scope is only counted.
     pub fn push_scope(&mut self, name: &str) {
+        bump(&self.counters.region_enters, 1);
+        bump(&self.counters.progress, 1);
         if !self.profile && self.tl.is_none() {
             return;
         }
@@ -585,21 +577,17 @@ impl ProcCtx {
         }
     }
 
-    /// Pop the innermost span scope component. No-op when neither
-    /// profiling nor telemetry is active (or when the scope stack is
-    /// empty).
+    /// Pop the innermost span scope component. When neither profiling
+    /// nor telemetry is active the pop is only counted as progress.
     pub fn pop_scope(&mut self) {
+        bump(&self.counters.progress, 1);
         if !self.profile && self.tl.is_none() {
             return;
         }
         if let Some(len) = self.scope_stack.pop() {
             if let (Some(sh), Some(id)) = (&self.tl, self.scope_id_stack.pop()) {
                 let wall = self.start.elapsed().as_nanos() as u64;
-                let vbits = match self.world.mode {
-                    TimeMode::Real => 0,
-                    TimeMode::Simulated(_) => self.clock.to_bits(),
-                };
-                sh.on_region_exit(id, wall, vbits);
+                sh.on_region_exit(id, wall, self.vbits());
             }
             self.scope_path.truncate(len);
             self.scope_arc = None;
@@ -691,54 +679,38 @@ impl ProcCtx {
         self.scope_arc.clone()
     }
 
-    /// Number of messages this processor has sent so far.
-    pub fn sent_msgs(&self) -> u64 {
-        self.sent_msgs
-    }
-
-    /// Number of payload bytes this processor has sent so far.
-    pub fn sent_bytes(&self) -> u64 {
-        self.sent_bytes
+    /// This processor's counters so far (a plain copy of its counter
+    /// block; `flight_recorded` is 0 — see [`crate::Telemetry`]).
+    pub fn counters(&self) -> ProcTotals {
+        self.counters.totals()
     }
 
     /// Count one communication-plan cache hit (plan replayed).
     #[inline]
     pub fn note_plan_hit(&mut self) {
-        self.plan_stats.plan_hits += 1;
-        if let Some(sh) = &self.tl {
-            sh.plan_hits.store(self.plan_stats.plan_hits, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.plan_hits, 1);
     }
 
     /// Count one communication-plan cache miss (plan built).
     #[inline]
     pub fn note_plan_miss(&mut self) {
-        self.plan_stats.plan_misses += 1;
-        if let Some(sh) = &self.tl {
-            sh.plan_misses.store(self.plan_stats.plan_misses, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.plan_misses, 1);
     }
 
     /// Accumulate host nanoseconds spent packing/unpacking along plan runs.
     #[inline]
     pub fn add_pack_ns(&mut self, ns: u64) {
-        self.plan_stats.pack_ns += ns;
-        if let Some(sh) = &self.tl {
-            sh.pack_ns.store(self.plan_stats.pack_ns, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.pack_ns, ns);
     }
 
-    /// Count one group-barrier entry (telemetry only; called by the
-    /// collectives layer). No-op when telemetry is off.
+    /// Count one group-barrier entry (called by the collectives layer).
     #[inline]
     pub fn note_barrier(&mut self) {
+        bump(&self.counters.barriers, 1);
+        bump(&self.counters.progress, 1);
         if let Some(sh) = &self.tl {
             let wall = self.start.elapsed().as_nanos() as u64;
-            let vbits = match self.world.mode {
-                TimeMode::Real => 0,
-                TimeMode::Simulated(_) => self.clock.to_bits(),
-            };
-            sh.on_barrier(wall, vbits);
+            sh.on_barrier(wall, self.vbits());
         }
     }
 
@@ -762,26 +734,13 @@ impl ProcCtx {
     /// Count one sync point classified interval-covered (barrier elided).
     #[inline]
     pub fn note_barrier_elided(&mut self) {
-        self.dataflow_stats.barriers_elided += 1;
-        if let Some(sh) = &self.tl {
-            sh.barriers_elided
-                .store(self.dataflow_stats.barriers_elided, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.barriers_elided, 1);
     }
 
     /// Count one sync point where the subset barrier actually ran.
     #[inline]
     pub fn note_barrier_kept(&mut self) {
-        self.dataflow_stats.barriers_kept += 1;
-        if let Some(sh) = &self.tl {
-            sh.barriers_kept
-                .store(self.dataflow_stats.barriers_kept, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    /// This processor's dataflow counters so far.
-    pub fn dataflow_stats(&self) -> DataflowStats {
-        self.dataflow_stats
+        bump(&self.counters.barriers_kept, 1);
     }
 
     // ----- heartbeat promotion --------------------------------------------
@@ -859,84 +818,32 @@ impl ProcCtx {
     /// Count one heartbeat that published an announcement.
     #[inline]
     pub fn note_promotion_attempted(&mut self) {
-        self.promote.attempted += 1;
-        if let Some(sh) = &self.tl {
-            sh.promotions_attempted
-                .store(self.promote.attempted, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.promotions_attempted, 1);
     }
 
     /// Count `n` grants written by one heartbeat (one per victim).
     #[inline]
     pub fn note_promotions_taken(&mut self, n: u64) {
-        self.promote.taken += n;
-        if let Some(sh) = &self.tl {
-            sh.promotions_taken
-                .store(self.promote.taken, std::sync::atomic::Ordering::Relaxed);
-        }
+        bump(&self.counters.promotions_taken, n);
     }
 
     /// Count one heartbeat that donated nothing (no eligible victim, or
     /// the remaining range failed the profitability bound).
     #[inline]
     pub fn note_promotion_declined(&mut self) {
-        self.promote.declined += 1;
-        if let Some(sh) = &self.tl {
-            sh.promotions_declined
-                .store(self.promote.declined, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    /// This processor's promotion counters so far.
-    pub fn promote_stats(&self) -> PromoteStats {
-        self.promote
+        bump(&self.counters.promotions_declined, 1);
     }
 
     /// Count one skipped task region (this processor was not a member of
-    /// the region's subgroup). No-op when telemetry is off.
+    /// the region's subgroup).
     #[inline]
     pub fn note_region_skip(&mut self) {
-        if let Some(sh) = &self.tl {
-            sh.note_region_skip();
-        }
+        bump(&self.counters.region_skips, 1);
     }
 
-    /// This processor's plan counters so far.
-    pub fn plan_stats(&self) -> PlanStats {
-        self.plan_stats
-    }
-
-    /// Snapshot of this processor's transport counters so far. The
-    /// `lane_bytes` view is only filled in by the run harness (in the
-    /// [`crate::RunReport`]); mid-run it is empty.
-    pub fn host_stats(&self) -> HostStats {
-        let mut h = self.host.clone();
-        h.pool_hits = self.pool.hits;
-        h.pool_misses = self.pool.misses;
-        h.plan = self.plan_stats;
-        h
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (f64, EventLog, u64, u64, PlanStats, HostStats, SpanLog, DataflowStats, PromoteStats)
-    {
-        let t = self.now();
-        let mut host = self.host;
-        host.pool_hits = self.pool.hits;
-        host.pool_misses = self.pool.misses;
-        host.plan = self.plan_stats;
-        (
-            t,
-            self.events,
-            self.sent_msgs,
-            self.sent_bytes,
-            self.plan_stats,
-            host,
-            self.spans,
-            self.dataflow_stats,
-            self.promote,
-        )
+    /// Finish this processor: its clock, event log and spans, with the
+    /// closure's return value. Counters stay in `world.counters`.
+    pub(crate) fn into_outcome<R>(self, value: R) -> ProcOutcome<R> {
+        ProcOutcome { value, time: self.now(), events: self.events, spans: self.spans }
     }
 }

@@ -1,4 +1,4 @@
-//! Heartbeat-style adaptive work promotion: shared state and counters.
+//! Heartbeat-style adaptive work promotion: shared state.
 //!
 //! The static `TASK_PARTITION` model plans subgroup sizes up front, so
 //! irregular loop nests (Barnes-Hut force phases over clustered bodies,
@@ -11,9 +11,11 @@
 //! clears a LogGP profitability bound, splits its tail onto them.
 //!
 //! This module owns the machine-wide pieces: the [`HeartbeatMode`]
-//! configuration, the per-processor promotion counters
-//! ([`PromoteStats`]), and the [`HeartbeatBoard`] — one slot per
-//! physical processor through which donors and idle victims rendezvous.
+//! configuration and the [`HeartbeatBoard`] — one slot per physical
+//! processor through which donors and idle victims rendezvous. The
+//! promotion counters (`promotions_attempted`/`_taken`/`_declined`) are
+//! rows of the processor's counter block, read through
+//! [`crate::ProcTotals`].
 //!
 //! # Why a shared board does not break determinism
 //!
@@ -105,40 +107,6 @@ pub(crate) fn default_heartbeat_period() -> f64 {
         .filter(|us| *us > 0.0)
         .map(|us| us * 1e-6)
         .unwrap_or(1000e-6)
-}
-
-/// Per-processor promotion counters (all zero for programs that never
-/// run a promotable loop).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PromoteStats {
-    /// Heartbeats that published an announcement (the processor looked
-    /// for victims).
-    pub attempted: u64,
-    /// Grants written: one per (heartbeat, victim) pair that actually
-    /// received a donated range.
-    pub taken: u64,
-    /// Announcements that donated nothing — no peer was parked early
-    /// enough, or the remaining range failed the profitability bound.
-    pub declined: u64,
-}
-
-impl PromoteStats {
-    /// Fold another processor's counters into this one.
-    pub fn merge(&mut self, other: &PromoteStats) {
-        self.attempted += other.attempted;
-        self.taken += other.taken;
-        self.declined += other.declined;
-    }
-}
-
-impl std::fmt::Display for PromoteStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "promotions: {} attempted, {} taken, {} declined",
-            self.attempted, self.taken, self.declined
-        )
-    }
 }
 
 /// A donated range: `lo..hi` global iterations of the announcing loop,

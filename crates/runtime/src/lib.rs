@@ -28,6 +28,7 @@
 //! HPF-style distributed arrays.
 
 mod coro;
+mod counters;
 mod critical;
 mod ctx;
 mod flight;
@@ -44,10 +45,11 @@ mod stall;
 mod telemetry;
 mod trace;
 
+pub use counters::ProcTotals;
 pub use critical::{critical_path, CriticalPathReport, PathKind, PathSegment, StageAttribution};
 pub use ctx::ProcCtx;
 pub use flight::{FlightEvent, FlightKind};
-pub use heartbeat::{Grant, HeartbeatBoard, HeartbeatMode, PeerView, PromoteStats};
+pub use heartbeat::{Grant, HeartbeatBoard, HeartbeatMode, PeerView};
 #[cfg(feature = "telemetry-http")]
 pub use http::TelemetryServer;
 pub use model::{MachineModel, TimeMode};
@@ -59,10 +61,9 @@ pub use span::{
 };
 pub use stall::{StallReport, StalledProc};
 pub use telemetry::{
-    ExemplarTrace, Histogram, HistogramSnapshot, ProcTotals, Telemetry, TelemetryConfig,
-    TelemetrySnapshot, TenantStats, TenantTotals,
+    ExemplarTrace, Histogram, HistogramSnapshot, Telemetry, TelemetryConfig, TelemetrySnapshot,
+    TenantStats, TenantTotals,
 };
 pub use trace::{
-    chrome_trace_full_json, chrome_trace_json, chrome_trace_request_json, DataflowStats, Event,
-    EventLog, HostStats, PlanStats,
+    chrome_trace_full_json, chrome_trace_json, chrome_trace_request_json, Event, EventLog,
 };

@@ -200,11 +200,14 @@ impl Chunk {
     #[inline]
     pub fn read_into<T: Copy + Send + 'static>(&self, offset: usize, dst: &mut [T]) {
         self.check_type::<T>();
+        // `checked_add`: a wrapped `offset + len` would pass a plain
+        // comparison and read before the buffer.
+        let end = offset.checked_add(dst.len());
         assert!(
-            offset + dst.len() <= self.elems,
-            "chunk read out of bounds: {}..{} of {} elems",
+            end.is_some_and(|end| end <= self.elems),
+            "chunk read out of bounds: {} elems at offset {} of {} elems",
+            dst.len(),
             offset,
-            offset + dst.len(),
             self.elems
         );
         // SAFETY: the bounds check above keeps the source range inside the
@@ -271,8 +274,6 @@ impl Chunk {
 pub(crate) struct BufferPool {
     /// `classes[c]` holds idle buffers with capacity ≥ 2^c bytes.
     classes: Vec<Vec<Vec<u8>>>,
-    pub hits: u64,
-    pub misses: u64,
 }
 
 /// Smallest pooled class: 2^6 = 64 bytes (sub-cacheline buffers are not
@@ -284,15 +285,13 @@ const MAX_CLASS: usize = 31;
 const MAX_DEPTH: usize = 16;
 
 impl BufferPool {
-    /// A buffer with capacity ≥ `nbytes`, recycled if possible.
-    pub fn acquire(&mut self, nbytes: usize) -> Vec<u8> {
+    /// A buffer with capacity ≥ `nbytes`, recycled if possible; the flag
+    /// is true when it was (a pool hit).
+    pub fn acquire(&mut self, nbytes: usize) -> (Vec<u8>, bool) {
         let c = Self::class_ceil(nbytes);
-        if let Some(b) = self.classes.get_mut(c).and_then(Vec::pop) {
-            self.hits += 1;
-            b
-        } else {
-            self.misses += 1;
-            Vec::with_capacity(1usize << c)
+        match self.classes.get_mut(c).and_then(Vec::pop) {
+            Some(b) => (b, true),
+            None => (Vec::with_capacity(1usize << c), false),
         }
     }
 
@@ -404,17 +403,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "chunk read out of bounds")]
+    fn chunk_read_with_wrapping_offset_panics() {
+        // `offset + len` wraps to 0 here; the check must not pass it.
+        let mut c = Chunk::with_capacity::<f64>(4);
+        c.push_slice(&[1.0f64, 2.0, 3.0, 4.0]);
+        c.read_into(usize::MAX, &mut [0.0f64; 1]);
+    }
+
+    #[test]
     fn pool_recycles_by_size_class() {
         let mut p = BufferPool::default();
-        let b = p.acquire(1000); // class 10 (1024)
-        assert_eq!(p.misses, 1);
+        let (b, hit) = p.acquire(1000); // class 10 (1024)
+        assert!(!hit);
         assert!(b.capacity() >= 1000);
         p.release(b);
-        let b2 = p.acquire(700); // still class 10
-        assert_eq!(p.hits, 1);
+        let (b2, hit) = p.acquire(700); // still class 10
+        assert!(hit);
         assert!(b2.capacity() >= 1024);
-        let _b3 = p.acquire(2000); // class 11: fresh allocation
-        assert_eq!(p.misses, 2);
+        let (_b3, hit) = p.acquire(2000); // class 11: fresh allocation
+        assert!(!hit);
     }
 
     #[test]
@@ -423,18 +431,14 @@ mod tests {
         for _ in 0..(MAX_DEPTH + 4) {
             p.release(Vec::with_capacity(256));
         }
-        for _ in 0..(MAX_DEPTH + 4) {
-            p.acquire(256);
-        }
-        assert_eq!(p.hits, MAX_DEPTH as u64);
+        let hits = (0..MAX_DEPTH + 4).filter(|_| p.acquire(256).1).count();
+        assert_eq!(hits, MAX_DEPTH);
     }
 
     #[test]
     fn pool_ignores_tiny_buffers() {
         let mut p = BufferPool::default();
         p.release(Vec::with_capacity(8));
-        p.acquire(8);
-        assert_eq!(p.hits, 0);
-        assert_eq!(p.misses, 1);
+        assert!(!p.acquire(8).1);
     }
 }

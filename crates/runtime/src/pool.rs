@@ -354,14 +354,7 @@ where
                 let mut cx = ProcCtx::new_with_exec(rank, Arc::clone(&world), start, exec);
                 let r = catch_unwind(AssertUnwindSafe(|| f(&mut cx)));
                 let out = match r {
-                    Ok(value) => {
-                        let (time, events, msgs, bytes, plans, host, spans, dataflow, promote) =
-                            cx.into_parts();
-                        Ok(ProcOutcome {
-                            value, time, events, msgs, bytes, plans, host, spans, dataflow,
-                            promote,
-                        })
-                    }
+                    Ok(value) => Ok(cx.into_outcome(value)),
                     Err(payload) => {
                         // Unblock everyone else before reporting.
                         for mb in &world.mailboxes {

@@ -6,15 +6,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::coro;
+use crate::counters::ProcTotals;
 use crate::ctx::{ProcCtx, World};
-use crate::heartbeat::{default_heartbeat_period, HeartbeatBoard, HeartbeatMode, PromoteStats};
+use crate::heartbeat::{default_heartbeat_period, HeartbeatBoard, HeartbeatMode};
 use crate::mailbox::Mailbox;
 use crate::model::{MachineModel, TimeMode};
 use crate::pool::{self, Pool};
 use crate::span::SpanLog;
 use crate::stall;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use crate::trace::{DataflowStats, EventLog, HostStats, PlanStats};
+use crate::trace::EventLog;
 
 /// How simulated processors are mapped onto OS threads.
 ///
@@ -291,26 +292,19 @@ pub struct RunReport<R> {
     pub times: Vec<f64>,
     /// Per-processor event logs.
     pub events: Vec<EventLog>,
-    /// Per-processor (messages, bytes) sent.
-    pub traffic: Vec<(u64, u64)>,
-    /// Per-processor communication-plan counters (cache hits/misses and
-    /// host-side pack time). All-zero for programs that never use plans.
-    pub plan_stats: Vec<PlanStats>,
-    /// Per-processor host-side transport counters (send/recv wall time,
-    /// buffer-pool hit rate, chunk traffic, bytes received per mailbox
-    /// lane). Host observability only; never affects virtual time.
-    pub host_stats: Vec<HostStats>,
+    /// Per-processor runtime counters: traffic, host transport time,
+    /// buffer pool, plan cache, barriers and elision, promotion, regions.
+    /// Read from the same blocks telemetry scrapes; `flight_recorded` is
+    /// 0 here. Host observability only; never affects virtual time. For a
+    /// `Validate` run these are the counters of the `On` pass.
+    pub counters: Vec<ProcTotals>,
+    /// Payload bytes deposited into each processor's mailbox, per source
+    /// lane: `lane_bytes[dst][src]`.
+    pub lane_bytes: Vec<Vec<u64>>,
     /// Per-processor duration spans (empty unless the machine was built
     /// with `with_profiling(true)` under simulated time). Feed these to
     /// [`crate::critical_path`] or [`crate::chrome_trace_full_json`].
     pub spans: Vec<SpanLog>,
-    /// Per-processor dataflow barrier-elision counters (all-zero for
-    /// programs that never execute distributed-array statements). For a
-    /// `Validate` run these are the counters of the `On` pass.
-    pub dataflow: Vec<DataflowStats>,
-    /// Per-processor heartbeat-promotion counters (all-zero for programs
-    /// that never run a promotable loop, or with `FX_HEARTBEAT=off`).
-    pub promote: Vec<PromoteStats>,
     /// Final telemetry snapshot (`None` unless the machine was built with
     /// [`Machine::with_telemetry`]).
     pub telemetry: Option<TelemetrySnapshot>,
@@ -324,44 +318,20 @@ impl<R> RunReport<R> {
         self.times.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Machine-wide transport counters: every processor's
-    /// [`HostStats`] merged into one (lane bytes summed element-wise).
-    pub fn host_stats_total(&self) -> HostStats {
-        let mut total = HostStats::default();
-        for h in &self.host_stats {
-            total.merge(h);
+    /// Machine-wide counters: every processor's row merged.
+    pub fn total(&self) -> ProcTotals {
+        let mut total = ProcTotals::default();
+        for c in &self.counters {
+            total.merge(c);
         }
         total
     }
 
-    /// Machine-wide communication-plan counters: every processor's
-    /// [`PlanStats`] merged into one.
-    pub fn plan_stats_total(&self) -> PlanStats {
-        let mut total = PlanStats::default();
-        for p in &self.plan_stats {
-            total.merge(p);
-        }
-        total
-    }
-
-    /// Machine-wide dataflow counters: every processor's
-    /// [`DataflowStats`] merged into one.
-    pub fn dataflow_total(&self) -> DataflowStats {
-        let mut total = DataflowStats::default();
-        for d in &self.dataflow {
-            total.merge(d);
-        }
-        total
-    }
-
-    /// Machine-wide promotion counters: every processor's
-    /// [`PromoteStats`] merged into one.
-    pub fn promote_total(&self) -> PromoteStats {
-        let mut total = PromoteStats::default();
-        for p in &self.promote {
-            total.merge(p);
-        }
-        total
+    /// Alias of [`RunReport::total`]. It exists only because the frozen
+    /// benchmark in `perfbench/` calls it; drop it at the next change to
+    /// the benchmark.
+    pub fn plan_stats_total(&self) -> ProcTotals {
+        self.total()
     }
 
     /// All events with the given label across processors, as
@@ -489,6 +459,7 @@ where
                 None => Mailbox::new(machine.nprocs),
             })
             .collect(),
+        counters: (0..machine.nprocs).map(|_| Arc::default()).collect(),
         recv_timeout: machine.recv_timeout,
         profile: machine.profile,
         tracing: machine.tracing,
@@ -501,7 +472,7 @@ where
     });
     let start = Instant::now();
     if let Some(t) = &telemetry {
-        t.begin_run(machine.nprocs, start, &world);
+        t.begin_run(start, &world);
     }
     // The stall sampler lives exactly as long as the execution: the guard
     // joins it on drop even when the propagated panic unwinds past us.
@@ -548,38 +519,22 @@ where
     let mut results = Vec::with_capacity(machine.nprocs);
     let mut times = Vec::with_capacity(machine.nprocs);
     let mut events = Vec::with_capacity(machine.nprocs);
-    let mut traffic = Vec::with_capacity(machine.nprocs);
-    let mut plan_stats = Vec::with_capacity(machine.nprocs);
-    let mut host_stats = Vec::with_capacity(machine.nprocs);
     let mut spans = Vec::with_capacity(machine.nprocs);
-    let mut dataflow = Vec::with_capacity(machine.nprocs);
-    let mut promote = Vec::with_capacity(machine.nprocs);
-    for (rank, out) in outcomes.into_iter().enumerate() {
+    for out in outcomes {
         let out = out.expect("missing processor outcome despite no panic");
         results.push(out.value);
         times.push(out.time);
         events.push(out.events);
-        traffic.push((out.msgs, out.bytes));
-        plan_stats.push(out.plans);
-        let mut host = out.host;
-        host.lane_bytes = world.mailboxes[rank].lane_bytes();
-        host_stats.push(host);
         spans.push(out.spans);
-        dataflow.push(out.dataflow);
-        promote.push(out.promote);
     }
-    let telemetry_snapshot = telemetry.as_ref().map(|t| t.snapshot());
     RunReport {
         results,
         times,
         events,
-        traffic,
-        plan_stats,
-        host_stats,
+        counters: world.counters.iter().map(|c| c.totals()).collect(),
+        lane_bytes: world.mailboxes.iter().map(Mailbox::lane_bytes).collect(),
         spans,
-        dataflow,
-        promote,
-        telemetry: telemetry_snapshot,
+        telemetry: telemetry.as_ref().map(|t| t.snapshot()),
         undelivered,
     }
 }
@@ -597,7 +552,7 @@ where
 /// * When nothing was elided the runs executed identical message
 ///   schedules, so times and traffic must be bit-identical.
 fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
-    let elided = on.dataflow_total().barriers_elided;
+    let elided = on.total().barriers_elided;
     let exact = elided == 0;
     assert_eq!(off.results.len(), on.results.len(), "FX_DATAFLOW=validate: nprocs changed");
     for p in 0..on.results.len() {
@@ -648,7 +603,8 @@ fn validate_elision<R>(off: &RunReport<R>, on: &RunReport<R>, simulated: bool) {
                 );
             }
         }
-        let ((mo, bo), (mn, bn)) = (off.traffic[p], on.traffic[p]);
+        let (o, n) = (&off.counters[p], &on.counters[p]);
+        let ((mo, bo), (mn, bn)) = ((o.sends, o.send_bytes), (n.sends, n.send_bytes));
         if exact {
             assert_eq!(
                 (mo, bo),
@@ -693,14 +649,7 @@ where
                 let mut cx = ProcCtx::new(rank, Arc::clone(&world), start);
                 let r = catch_unwind(AssertUnwindSafe(|| f(&mut cx)));
                 match r {
-                    Ok(value) => {
-                        let (time, events, msgs, bytes, plans, host, spans, dataflow, promote) =
-                            cx.into_parts();
-                        Ok(ProcOutcome {
-                            value, time, events, msgs, bytes, plans, host, spans, dataflow,
-                            promote,
-                        })
-                    }
+                    Ok(value) => Ok(cx.into_outcome(value)),
                     Err(payload) => {
                         // Unblock everyone else before reporting.
                         for mb in &world.mailboxes {
@@ -752,18 +701,13 @@ pub(crate) fn flight_text(t: &Telemetry, rank: usize) -> String {
 pub(crate) type RawOutcomes<R> = Vec<Option<Result<ProcOutcome<R>, Box<dyn Any + Send>>>>;
 
 /// Everything one processor's harness hands back to the run for report
-/// assembly, whichever executor ran it.
+/// assembly, whichever executor ran it. Counters are not part of it:
+/// they live in the run's counter blocks.
 pub(crate) struct ProcOutcome<R> {
     pub(crate) value: R,
     pub(crate) time: f64,
     pub(crate) events: EventLog,
-    pub(crate) msgs: u64,
-    pub(crate) bytes: u64,
-    pub(crate) plans: PlanStats,
-    pub(crate) host: HostStats,
     pub(crate) spans: SpanLog,
-    pub(crate) dataflow: DataflowStats,
-    pub(crate) promote: PromoteStats,
 }
 
 #[cfg(test)]
@@ -906,8 +850,8 @@ mod tests {
             }
         });
         assert_eq!(rep.undelivered, 1);
-        assert_eq!(rep.traffic[0].0, 2);
-        assert_eq!(rep.traffic[1].0, 0);
+        assert_eq!(rep.counters[0].sends, 2);
+        assert_eq!(rep.counters[1].sends, 0);
     }
 
     #[test]
@@ -963,6 +907,7 @@ mod tests {
                 let _: Vec<u32> = cx.recv(0, 1);
             }
         });
-        assert_eq!(rep.traffic[0], (1, 400));
+        let c = &rep.counters[0];
+        assert_eq!((c.sends, c.send_bytes), (1, 400));
     }
 }

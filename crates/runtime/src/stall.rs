@@ -95,7 +95,7 @@ fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, sto
     let shards = telemetry.shards();
     let window = telemetry.config().stall_window;
     let every = telemetry.config().stall_sample_every;
-    let mut last_progress: Vec<u64> = shards.iter().map(|s| s.progress.load(Ordering::Relaxed)).collect();
+    let mut last_progress: Vec<u64> = shards.iter().map(|s| s.counters.progress.load(Ordering::Relaxed)).collect();
     let mut last_moved: Vec<Instant> = vec![Instant::now(); shards.len()];
     // The (proc, src, tag) set already reported, to avoid re-reporting an
     // unchanged stall every sample.
@@ -109,7 +109,7 @@ fn sample_loop(telemetry: Arc<Telemetry>, world: Arc<World>, start: Instant, sto
         let now = Instant::now();
         let mut stalled = Vec::new();
         for (p, shard) in shards.iter().enumerate() {
-            let prog = shard.progress.load(Ordering::Relaxed);
+            let prog = shard.counters.progress.load(Ordering::Relaxed);
             if prog != last_progress[p] {
                 last_progress[p] = prog;
                 last_moved[p] = now;

@@ -4,9 +4,11 @@
 //! A [`Telemetry`] handle is created by the harness, attached to a machine
 //! with [`crate::Machine::with_telemetry`], and shared (it is always used
 //! behind an `Arc`). Each run shards the registry per processor: every
-//! simulated processor owns one [`ProcShard`] of relaxed atomic counters
-//! and log-bucketed histograms, so the hot send/receive paths touch only
-//! their own cache lines and never take a lock. Cross-processor state is
+//! simulated processor owns one [`ProcShard`] holding an `Arc` to the
+//! processor's counter block (the one [`crate::RunReport::counters`] is
+//! read from; see the `counters` module), plus log-bucketed histograms
+//! and a flight ring, so the hot send/receive paths touch only their own
+//! cache lines and never take a lock. Cross-processor state is
 //! limited to a label-interning table (hit once per new region path per
 //! processor, then cached locally); even the chunk-bytes-in-flight gauge
 //! is sharded per processor and only summed at read time.
@@ -28,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::counters::{bump, Counters, ProcTotals, FAMILIES};
 use crate::ctx::World;
 use crate::flight::{FlightEvent, FlightKind, FlightRing, RawEvent, K_BARRIER, K_ENTER, K_EXIT, K_RECV, K_SEND};
 use crate::stall::StallReport;
@@ -56,22 +59,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)), sum: AtomicU64::new(0) }
     }
-}
-
-/// Single-writer counter increment: a relaxed load+store pair instead of
-/// a locked read-modify-write. Every hot-path counter in a [`ProcShard`]
-/// is written only by its owning *processor* — an invariant about the
-/// simulated processor, not about OS-thread identity. Under the threaded
-/// executor the two coincide; under the pooled executor the processor
-/// may migrate between worker threads, but only at suspension points,
-/// and the scheduler's run-queue locks establish happens-before between
-/// the worker that wrote last and the worker that resumes next — so
-/// writes never race and the unlocked form stays exact. It is roughly 3×
-/// cheaper than `fetch_add` on x86, which is what keeps telemetry-on
-/// inside the <5% overhead budget.
-#[inline]
-fn bump(a: &AtomicU64, v: u64) {
-    a.store(a.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
 }
 
 /// Bucket index for a recorded value (shared by both record paths).
@@ -215,45 +202,23 @@ impl HistogramSnapshot {
     }
 }
 
-/// One processor's shard of the registry: plain relaxed atomics, written
-/// only by the owning simulated processor (whichever worker thread is
-/// currently running it — see [`bump`] for why migration is safe), read
-/// by exporters and the stall sampler. Counter semantics mirror
-/// [`crate::HostStats`] exactly so the two reconcile after a run.
+/// One processor's shard of the registry, written only by the owning
+/// simulated processor (whichever worker thread is currently running it
+/// — see [`bump`] for why migration is safe) and read by exporters and
+/// the stall sampler. The counters are the processor's own block, shared
+/// by `Arc`; the shard adds what only telemetry keeps: histograms, the
+/// flight ring, wait state, scope-label counts and the in-flight gauge.
 /// Cache-line aligned so neighbouring shards (separate allocations, but
 /// allocator-adjacent) never false-share.
 #[repr(align(64))]
 pub(crate) struct ProcShard {
-    pub sends: AtomicU64,
-    pub send_bytes: AtomicU64,
-    pub chunk_msgs: AtomicU64,
-    pub chunk_bytes: AtomicU64,
-    pub send_ns: AtomicU64,
-    pub recvs: AtomicU64,
-    pub recv_bytes: AtomicU64,
-    pub recv_wait_ns: AtomicU64,
-    pub barriers: AtomicU64,
-    pub barriers_elided: AtomicU64,
-    pub barriers_kept: AtomicU64,
-    pub promotions_attempted: AtomicU64,
-    pub promotions_taken: AtomicU64,
-    pub promotions_declined: AtomicU64,
-    pub region_enters: AtomicU64,
-    pub region_skips: AtomicU64,
-    pub pool_hits: AtomicU64,
-    pub pool_misses: AtomicU64,
-    pub plan_hits: AtomicU64,
-    pub plan_misses: AtomicU64,
-    pub pack_ns: AtomicU64,
-    pub lane_contention: AtomicU64,
+    /// The processor's counter block (the same `Arc` its `ProcCtx` bumps).
+    pub counters: Arc<Counters>,
     /// This processor's contribution to the chunk-bytes-in-flight gauge:
     /// +bytes when it sends a chunk, -bytes when it receives one. The
     /// machine-wide gauge is the sum over shards (each shard stays
     /// single-writer; no shared cache line on the hot path).
     pub chunk_flight: AtomicI64,
-    /// Monotone event counter (sends + recvs + barriers + scope
-    /// transitions); the stall sampler watches it for forward progress.
-    pub progress: AtomicU64,
     /// Source rank this processor is currently blocked receiving from
     /// ([`NO_WAIT`] when not blocked).
     pub wait_src: AtomicUsize,
@@ -272,32 +237,10 @@ pub(crate) struct ProcShard {
 }
 
 impl ProcShard {
-    fn new(flight_capacity: usize) -> Self {
+    fn new(counters: Arc<Counters>, flight_capacity: usize) -> Self {
         ProcShard {
-            sends: AtomicU64::new(0),
-            send_bytes: AtomicU64::new(0),
-            chunk_msgs: AtomicU64::new(0),
-            chunk_bytes: AtomicU64::new(0),
-            send_ns: AtomicU64::new(0),
-            recvs: AtomicU64::new(0),
-            recv_bytes: AtomicU64::new(0),
-            recv_wait_ns: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            barriers_elided: AtomicU64::new(0),
-            barriers_kept: AtomicU64::new(0),
-            promotions_attempted: AtomicU64::new(0),
-            promotions_taken: AtomicU64::new(0),
-            promotions_declined: AtomicU64::new(0),
-            region_enters: AtomicU64::new(0),
-            region_skips: AtomicU64::new(0),
-            pool_hits: AtomicU64::new(0),
-            pool_misses: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            plan_misses: AtomicU64::new(0),
-            pack_ns: AtomicU64::new(0),
-            lane_contention: AtomicU64::new(0),
+            counters,
             chunk_flight: AtomicI64::new(0),
-            progress: AtomicU64::new(0),
             wait_src: AtomicUsize::new(NO_WAIT),
             wait_tag: AtomicU64::new(0),
             msg_bytes_hist: Histogram::default(),
@@ -307,16 +250,16 @@ impl ProcShard {
         }
     }
 
-    /// All counters for one send (either payload path).
+    /// The counter row plus the flight ring's recorded-event count.
+    fn totals(&self) -> ProcTotals {
+        ProcTotals { flight_recorded: self.flight.pushed(), ..self.counters.totals() }
+    }
+
+    /// Telemetry-only state for one send (either payload path); the
+    /// counters were bumped by the caller.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_send(&self, bytes: u64, chunk: bool, ns: u64, wall_ns: u64, vbits: u64, dst: usize, tag: u64) {
-        bump(&self.sends, 1);
-        bump(&self.send_bytes, bytes);
-        bump(&self.send_ns, ns);
+    pub fn on_send(&self, bytes: u64, chunk: bool, wall_ns: u64, vbits: u64, dst: usize, tag: u64) {
         if chunk {
-            bump(&self.chunk_msgs, 1);
-            bump(&self.chunk_bytes, bytes);
             // The in-flight gauge is sharded too: the sender credits its
             // own shard, the receiver debits its own; the sum over shards
             // is the machine-wide gauge. Keeps the hot path off any
@@ -325,7 +268,6 @@ impl ProcShard {
             self.chunk_flight.store(f + bytes as i64, Ordering::Relaxed);
         }
         self.msg_bytes_hist.record(bytes);
-        bump(&self.progress, 1);
         self.flight.push(RawEvent {
             packed: RawEvent::pack(K_SEND, 0, dst as u32),
             tag,
@@ -335,14 +277,10 @@ impl ProcShard {
         });
     }
 
-    /// All counters for one completed receive.
+    /// Telemetry-only state for one completed receive.
     #[inline]
     pub fn on_recv(&self, bytes: u64, waited_ns: u64, wall_ns: u64, vbits: u64, src: usize, tag: u64) {
-        bump(&self.recvs, 1);
-        bump(&self.recv_bytes, bytes);
-        bump(&self.recv_wait_ns, waited_ns);
         self.recv_wait_hist.record(waited_ns);
-        bump(&self.progress, 1);
         self.wait_src.store(NO_WAIT, Ordering::Relaxed);
         self.flight.push(RawEvent {
             packed: RawEvent::pack(K_RECV, 0, src as u32),
@@ -368,21 +306,7 @@ impl ProcShard {
         self.chunk_flight.store(f - bytes as i64, Ordering::Relaxed);
     }
 
-    /// Count a deposit that found the destination lane lock held.
-    #[inline]
-    pub fn on_lane_contention(&self) {
-        bump(&self.lane_contention, 1);
-    }
-
-    /// Count one skipped task region.
-    #[inline]
-    pub fn note_region_skip(&self) {
-        bump(&self.region_skips, 1);
-    }
-
     pub fn on_barrier(&self, wall_ns: u64, vbits: u64) {
-        bump(&self.barriers, 1);
-        bump(&self.progress, 1);
         self.flight.push(RawEvent {
             packed: RawEvent::pack(K_BARRIER, 0, 0),
             tag: 0,
@@ -393,8 +317,6 @@ impl ProcShard {
     }
 
     pub fn on_region_enter(&self, label: u32, wall_ns: u64, vbits: u64) {
-        bump(&self.region_enters, 1);
-        bump(&self.progress, 1);
         *self.scope_counts.lock().entry(label).or_insert(0) += 1;
         self.flight.push(RawEvent {
             packed: RawEvent::pack(K_ENTER, label, 0),
@@ -406,7 +328,6 @@ impl ProcShard {
     }
 
     pub fn on_region_exit(&self, label: u32, wall_ns: u64, vbits: u64) {
-        bump(&self.progress, 1);
         self.flight.push(RawEvent {
             packed: RawEvent::pack(K_EXIT, label, 0),
             tag: 0,
@@ -646,11 +567,16 @@ impl Telemetry {
         &self.config
     }
 
-    /// Reset counters and attach to a new run. Called by [`crate::run`];
-    /// a handle reused across runs reports only the latest run.
-    pub(crate) fn begin_run(&self, nprocs: usize, start: Instant, world: &Arc<World>) {
+    /// Attach to a new run's counter blocks with fresh shards. Called by
+    /// [`crate::run`]; a handle reused across runs reports only the
+    /// latest run.
+    pub(crate) fn begin_run(&self, start: Instant, world: &Arc<World>) {
         let mut inner = self.inner.lock();
-        inner.shards = (0..nprocs).map(|_| Arc::new(ProcShard::new(self.config.flight_capacity))).collect();
+        inner.shards = world
+            .counters
+            .iter()
+            .map(|c| Arc::new(ProcShard::new(Arc::clone(c), self.config.flight_capacity)))
+            .collect();
         inner.start = Some(start);
         inner.world = Arc::downgrade(world);
         drop(inner);
@@ -838,7 +764,7 @@ impl Telemetry {
             let inner = self.inner.lock();
             (inner.shards.clone(), inner.names.clone(), inner.tenants.clone())
         };
-        let per_proc: Vec<ProcTotals> = shards.iter().map(|s| ProcTotals::from_shard(s)).collect();
+        let per_proc: Vec<ProcTotals> = shards.iter().map(|s| s.totals()).collect();
         let mut regions: Vec<(String, u64)> = Vec::new();
         let mut region_map: HashMap<u32, u64> = HashMap::new();
         for s in &shards {
@@ -881,38 +807,15 @@ impl Telemetry {
             out.push_str(&format!("# TYPE {name} counter\n# HELP {name} {help}\n"));
             rows(out);
         };
-        macro_rules! per_proc_counter {
-            ($name:literal, $help:literal, $field:ident) => {
-                counter(&mut out, $name, $help, &|out: &mut String| {
-                    for (p, t) in snap.per_proc.iter().enumerate() {
-                        out.push_str(&format!(concat!($name, "_total{{proc=\"{}\"}} {}\n"), p, t.$field));
-                    }
-                });
-            };
+        let mut families = FAMILIES.to_vec();
+        families.sort_by_key(|f| f.0);
+        for (_, name, help, get) in families {
+            counter(&mut out, name, help, &|out: &mut String| {
+                for (p, t) in snap.per_proc.iter().enumerate() {
+                    out.push_str(&format!("{name}_total{{proc=\"{p}\"}} {}\n", get(t)));
+                }
+            });
         }
-        per_proc_counter!("fx_sends", "Messages sent (both payload paths).", sends);
-        per_proc_counter!("fx_send_bytes", "Payload bytes sent.", send_bytes);
-        per_proc_counter!("fx_recvs", "Messages received.", recvs);
-        per_proc_counter!("fx_recv_bytes", "Payload bytes received.", recv_bytes);
-        per_proc_counter!("fx_send_ns", "Host nanoseconds inside send calls.", send_ns);
-        per_proc_counter!("fx_recv_wait_ns", "Host nanoseconds blocked in receives.", recv_wait_ns);
-        per_proc_counter!("fx_chunk_msgs", "Messages sent via the chunk fast path.", chunk_msgs);
-        per_proc_counter!("fx_chunk_bytes", "Payload bytes sent via the chunk fast path.", chunk_bytes);
-        per_proc_counter!("fx_barriers", "Group barriers entered.", barriers);
-        per_proc_counter!("fx_barriers_elided", "Statement sync points whose subset barrier was elided (interval-covered edge).", barriers_elided);
-        per_proc_counter!("fx_barriers_kept", "Statement sync points whose subset barrier ran.", barriers_kept);
-        per_proc_counter!("fx_promotions_attempted", "Heartbeats that published a promotion announcement.", promotions_attempted);
-        per_proc_counter!("fx_promotions_taken", "Loop-tail grants donated to idle subgroup peers.", promotions_taken);
-        per_proc_counter!("fx_promotions_declined", "Heartbeats that donated nothing (no victim or unprofitable).", promotions_declined);
-        per_proc_counter!("fx_region_enters", "Task-region scopes entered.", region_enters);
-        per_proc_counter!("fx_region_skips", "Task regions skipped (processor not a member).", region_skips);
-        per_proc_counter!("fx_pool_hits", "Buffer-pool hits (buffer recycled).", pool_hits);
-        per_proc_counter!("fx_pool_misses", "Buffer-pool misses (allocator invoked).", pool_misses);
-        per_proc_counter!("fx_plan_hits", "Communication-plan cache hits.", plan_hits);
-        per_proc_counter!("fx_plan_misses", "Communication-plan cache misses.", plan_misses);
-        per_proc_counter!("fx_plan_pack_ns", "Host nanoseconds packing/unpacking plan buffers.", pack_ns);
-        per_proc_counter!("fx_lane_contention", "Mailbox lane deposits that found the lane lock held.", lane_contention);
-        per_proc_counter!("fx_progress", "Monotone per-processor progress events.", progress);
 
         counter(&mut out, "fx_region_path_enters", "Region entries by subgroup path.", &|out| {
             for (path, n) in &snap.regions {
@@ -1091,160 +994,6 @@ fn escape_label(s: &str) -> String {
         }
     }
     out
-}
-
-/// Final counter values of one processor (or machine-wide totals via
-/// [`TelemetrySnapshot::total`]). Field semantics mirror
-/// [`crate::HostStats`]; the registry and `HostStats` reconcile exactly
-/// after a run.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ProcTotals {
-    /// Messages sent (both payload paths).
-    pub sends: u64,
-    /// Payload bytes sent.
-    pub send_bytes: u64,
-    /// Messages sent via the chunk fast path.
-    pub chunk_msgs: u64,
-    /// Payload bytes sent via the chunk fast path.
-    pub chunk_bytes: u64,
-    /// Host nanoseconds inside send calls.
-    pub send_ns: u64,
-    /// Messages received.
-    pub recvs: u64,
-    /// Payload bytes received.
-    pub recv_bytes: u64,
-    /// Host nanoseconds blocked in receives.
-    pub recv_wait_ns: u64,
-    /// Group barriers entered.
-    pub barriers: u64,
-    /// Statement sync points whose subset barrier was elided because the
-    /// dependence classifier proved the edge interval-covered.
-    pub barriers_elided: u64,
-    /// Statement sync points whose subset barrier actually ran (edge was
-    /// barrier-required: tainted by aliasing writes or root I/O).
-    pub barriers_kept: u64,
-    /// Heartbeats that published a promotion announcement.
-    pub promotions_attempted: u64,
-    /// Loop-tail grants donated to idle subgroup peers.
-    pub promotions_taken: u64,
-    /// Heartbeats that donated nothing (no victim or unprofitable).
-    pub promotions_declined: u64,
-    /// Task-region scopes entered.
-    pub region_enters: u64,
-    /// Task regions skipped because the processor was not a member.
-    pub region_skips: u64,
-    /// Buffer-pool hits.
-    pub pool_hits: u64,
-    /// Buffer-pool misses.
-    pub pool_misses: u64,
-    /// Communication-plan cache hits.
-    pub plan_hits: u64,
-    /// Communication-plan cache misses.
-    pub plan_misses: u64,
-    /// Host nanoseconds packing/unpacking plan buffers.
-    pub pack_ns: u64,
-    /// Mailbox deposits that found the destination lane lock held.
-    pub lane_contention: u64,
-    /// Monotone progress events (sends + recvs + barriers + scopes).
-    pub progress: u64,
-    /// Flight-recorder events recorded over the run (≥ retained).
-    pub flight_recorded: u64,
-}
-
-impl ProcTotals {
-    fn from_shard(s: &ProcShard) -> Self {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        ProcTotals {
-            sends: ld(&s.sends),
-            send_bytes: ld(&s.send_bytes),
-            chunk_msgs: ld(&s.chunk_msgs),
-            chunk_bytes: ld(&s.chunk_bytes),
-            send_ns: ld(&s.send_ns),
-            recvs: ld(&s.recvs),
-            recv_bytes: ld(&s.recv_bytes),
-            recv_wait_ns: ld(&s.recv_wait_ns),
-            barriers: ld(&s.barriers),
-            barriers_elided: ld(&s.barriers_elided),
-            barriers_kept: ld(&s.barriers_kept),
-            promotions_attempted: ld(&s.promotions_attempted),
-            promotions_taken: ld(&s.promotions_taken),
-            promotions_declined: ld(&s.promotions_declined),
-            region_enters: ld(&s.region_enters),
-            region_skips: ld(&s.region_skips),
-            pool_hits: ld(&s.pool_hits),
-            pool_misses: ld(&s.pool_misses),
-            plan_hits: ld(&s.plan_hits),
-            plan_misses: ld(&s.plan_misses),
-            pack_ns: ld(&s.pack_ns),
-            lane_contention: ld(&s.lane_contention),
-            progress: ld(&s.progress),
-            flight_recorded: s.flight.pushed(),
-        }
-    }
-
-    /// Accumulate another row into this one.
-    pub fn merge(&mut self, other: &ProcTotals) {
-        self.sends += other.sends;
-        self.send_bytes += other.send_bytes;
-        self.chunk_msgs += other.chunk_msgs;
-        self.chunk_bytes += other.chunk_bytes;
-        self.send_ns += other.send_ns;
-        self.recvs += other.recvs;
-        self.recv_bytes += other.recv_bytes;
-        self.recv_wait_ns += other.recv_wait_ns;
-        self.barriers += other.barriers;
-        self.barriers_elided += other.barriers_elided;
-        self.barriers_kept += other.barriers_kept;
-        self.promotions_attempted += other.promotions_attempted;
-        self.promotions_taken += other.promotions_taken;
-        self.promotions_declined += other.promotions_declined;
-        self.region_enters += other.region_enters;
-        self.region_skips += other.region_skips;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.plan_hits += other.plan_hits;
-        self.plan_misses += other.plan_misses;
-        self.pack_ns += other.pack_ns;
-        self.lane_contention += other.lane_contention;
-        self.progress += other.progress;
-        self.flight_recorded += other.flight_recorded;
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"sends\":{},\"send_bytes\":{},\"chunk_msgs\":{},\"chunk_bytes\":{},\"send_ns\":{},\
-             \"recvs\":{},\"recv_bytes\":{},\"recv_wait_ns\":{},\"barriers\":{},\
-             \"barriers_elided\":{},\"barriers_kept\":{},\
-             \"promotions_attempted\":{},\"promotions_taken\":{},\"promotions_declined\":{},\
-             \"region_enters\":{},\"region_skips\":{},\"pool_hits\":{},\"pool_misses\":{},\
-             \"plan_hits\":{},\"plan_misses\":{},\"pack_ns\":{},\"lane_contention\":{},\
-             \"progress\":{},\"flight_recorded\":{}}}",
-            self.sends,
-            self.send_bytes,
-            self.chunk_msgs,
-            self.chunk_bytes,
-            self.send_ns,
-            self.recvs,
-            self.recv_bytes,
-            self.recv_wait_ns,
-            self.barriers,
-            self.barriers_elided,
-            self.barriers_kept,
-            self.promotions_attempted,
-            self.promotions_taken,
-            self.promotions_declined,
-            self.region_enters,
-            self.region_skips,
-            self.pool_hits,
-            self.pool_misses,
-            self.plan_hits,
-            self.plan_misses,
-            self.pack_ns,
-            self.lane_contention,
-            self.progress,
-            self.flight_recorded
-        )
-    }
 }
 
 /// Point-in-time copy of the whole registry, as stored in
@@ -1466,6 +1215,104 @@ mod tests {
         assert_eq!(t.intern("G1/fft"), a);
         assert_eq!(&*t.resolve(a), "G1/fft");
         assert_eq!(&*t.resolve(b), "G2/hist");
+    }
+
+    /// Pins the exposition of the per-processor counters: family names,
+    /// help strings and order in OpenMetrics, key order in JSON, and that
+    /// each family reads its own counter.
+    #[test]
+    fn exporters_pin_counter_families_and_keys() {
+        let c = Arc::new(Counters::default());
+        // (counter, family, help) in exposition order.
+        let families: [(&AtomicU64, &str, &str); 23] = [
+            (&c.sends, "fx_sends", "Messages sent (both payload paths)."),
+            (&c.send_bytes, "fx_send_bytes", "Payload bytes sent."),
+            (&c.recvs, "fx_recvs", "Messages received."),
+            (&c.recv_bytes, "fx_recv_bytes", "Payload bytes received."),
+            (&c.send_ns, "fx_send_ns", "Host nanoseconds inside send calls."),
+            (&c.recv_wait_ns, "fx_recv_wait_ns", "Host nanoseconds blocked in receives."),
+            (&c.chunk_msgs, "fx_chunk_msgs", "Messages sent via the chunk fast path."),
+            (&c.chunk_bytes, "fx_chunk_bytes", "Payload bytes sent via the chunk fast path."),
+            (&c.barriers, "fx_barriers", "Group barriers entered."),
+            (
+                &c.barriers_elided,
+                "fx_barriers_elided",
+                "Statement sync points whose subset barrier was elided (interval-covered edge).",
+            ),
+            (&c.barriers_kept, "fx_barriers_kept", "Statement sync points whose subset barrier ran."),
+            (
+                &c.promotions_attempted,
+                "fx_promotions_attempted",
+                "Heartbeats that published a promotion announcement.",
+            ),
+            (&c.promotions_taken, "fx_promotions_taken", "Loop-tail grants donated to idle subgroup peers."),
+            (
+                &c.promotions_declined,
+                "fx_promotions_declined",
+                "Heartbeats that donated nothing (no victim or unprofitable).",
+            ),
+            (&c.region_enters, "fx_region_enters", "Task-region scopes entered."),
+            (&c.region_skips, "fx_region_skips", "Task regions skipped (processor not a member)."),
+            (&c.pool_hits, "fx_pool_hits", "Buffer-pool hits (buffer recycled)."),
+            (&c.pool_misses, "fx_pool_misses", "Buffer-pool misses (allocator invoked)."),
+            (&c.plan_hits, "fx_plan_hits", "Communication-plan cache hits."),
+            (&c.plan_misses, "fx_plan_misses", "Communication-plan cache misses."),
+            (&c.pack_ns, "fx_plan_pack_ns", "Host nanoseconds packing/unpacking plan buffers."),
+            (&c.lane_contention, "fx_lane_contention", "Mailbox lane deposits that found the lane lock held."),
+            (&c.progress, "fx_progress", "Monotone per-processor progress events."),
+        ];
+        for (i, (counter, ..)) in families.iter().enumerate() {
+            counter.store(100 + i as u64, Ordering::Relaxed);
+        }
+        let t = Telemetry::new();
+        let shard = Arc::new(ProcShard::new(Arc::clone(&c), 8));
+        for _ in 0..3 {
+            shard.on_barrier(0, 0);
+        }
+        t.inner.lock().shards = vec![shard];
+
+        let om = t.render_openmetrics();
+        let mut lines = om.lines();
+        for (i, (_, name, help)) in families.iter().enumerate() {
+            assert_eq!(lines.next(), Some(format!("# TYPE {name} counter").as_str()));
+            assert_eq!(lines.next(), Some(format!("# HELP {name} {help}").as_str()));
+            let value = 100 + i;
+            assert_eq!(lines.next(), Some(format!("{name}_total{{proc=\"0\"}} {value}").as_str()));
+        }
+        assert_eq!(lines.next(), Some("# TYPE fx_region_path_enters counter"));
+
+        // JSON: the first processor object, keys in order, each with the
+        // value of its own counter.
+        let keys = [
+            "sends", "send_bytes", "chunk_msgs", "chunk_bytes", "send_ns", "recvs", "recv_bytes",
+            "recv_wait_ns", "barriers", "barriers_elided", "barriers_kept", "promotions_attempted",
+            "promotions_taken", "promotions_declined", "region_enters", "region_skips", "pool_hits",
+            "pool_misses", "plan_hits", "plan_misses", "pack_ns", "lane_contention", "progress",
+            "flight_recorded",
+        ];
+        let json = t.render_json();
+        let row = json
+            .strip_prefix("{\"procs\":[{")
+            .and_then(|r| r.split_once('}'))
+            .map(|(row, _)| row)
+            .expect("one processor object");
+        let got: Vec<(&str, u64)> = row
+            .split(',')
+            .map(|kv| {
+                let (k, v) = kv.split_once(':').expect("key:value");
+                (k.trim_matches('"'), v.parse().expect("integer value"))
+            })
+            .collect();
+        assert_eq!(got.iter().map(|kv| kv.0).collect::<Vec<_>>(), keys);
+        let family_of = |key: &str| match key {
+            "pack_ns" => "fx_plan_pack_ns".to_string(),
+            k => format!("fx_{k}"),
+        };
+        for (key, value) in &got[..23] {
+            let i = families.iter().position(|f| f.1 == family_of(key)).expect("key has a family");
+            assert_eq!(*value, 100 + i as u64, "JSON {key} reads its own counter");
+        }
+        assert_eq!(got[23], ("flight_recorded", 3));
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn many_senders_one_receiver_preserves_fifo_per_source() {
     assert_eq!(rep.results[0], expect);
     // Per-lane accounting: rank 0 received bytes from every sender and
     // none from itself.
-    let lanes = &rep.host_stats[0].lane_bytes;
+    let lanes = &rep.lane_bytes[0];
     assert_eq!(lanes.len(), P);
     assert_eq!(lanes[0], 0);
     for (src, &b) in lanes.iter().enumerate().skip(1) {

@@ -1,6 +1,6 @@
-//! Integration tests for the live telemetry layer: registry/HostStats
-//! reconciliation, flight-recorder retention, exporter formats, and the
-//! zero-cost-when-off guarantees.
+//! Integration tests for the live telemetry layer: flight-recorder
+//! retention, exporter formats, and the zero-cost-when-off guarantees.
+//! Counter accounting is tested once, in fx-darray's `host_stats` suite.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,54 +36,6 @@ fn mixed_workload(cx: &mut ProcCtx, rounds: usize, elems: usize) {
         }
     }
     cx.pop_scope();
-}
-
-/// The registry's final totals must reconcile exactly with the
-/// `HostStats` the runtime already keeps: same message counts, same
-/// bytes, same nanosecond sums — they observe the same events.
-#[test]
-fn registry_reconciles_with_host_stats() {
-    let telemetry = Arc::new(Telemetry::new());
-    let rep = run(&telemetry_machine(4, &telemetry), |cx| mixed_workload(cx, 8, 256));
-
-    let snap = rep.telemetry.as_ref().expect("telemetry snapshot in report");
-    let total = snap.total();
-    let host = rep.host_stats_total();
-
-    // Message and byte counts: registry vs the transport's own counters.
-    let (msgs, bytes) = rep.traffic.iter().fold((0u64, 0u64), |(m, b), t| (m + t.0, b + t.1));
-    assert_eq!(total.sends, msgs, "sends vs transport msgs");
-    assert_eq!(total.send_bytes, bytes, "send bytes vs transport bytes");
-    assert_eq!(total.recvs, total.sends, "every message was received");
-    assert_eq!(total.recv_bytes, total.send_bytes);
-
-    // Chunk fast path and pool: identical to HostStats (same increments).
-    assert_eq!(total.chunk_msgs, host.chunk_msgs);
-    assert_eq!(total.chunk_bytes, host.chunk_bytes);
-    assert_eq!(total.pool_hits, host.pool_hits);
-    assert_eq!(total.pool_misses, host.pool_misses);
-
-    // Nanosecond sums reuse the *same measured values* as HostStats.
-    assert_eq!(total.send_ns, host.send_ns);
-    assert_eq!(total.recv_wait_ns, host.recv_wait_ns);
-
-    // Per-proc rows merge to the same place the snapshot's total() gives.
-    let mut merged = fx_runtime::ProcTotals::default();
-    for row in &snap.per_proc {
-        merged.merge(row);
-    }
-    assert_eq!(merged, total);
-
-    // All chunks were received: the sharded in-flight gauge sums to zero.
-    assert_eq!(snap.chunk_bytes_in_flight, 0);
-    assert_eq!(telemetry.chunk_bytes_in_flight(), 0);
-
-    // Region scopes were counted under their path label.
-    assert!(
-        snap.regions.iter().any(|(path, n)| path.ends_with("mixed") && *n == 4),
-        "got regions {:?}",
-        snap.regions
-    );
 }
 
 /// The flight ring is bounded: pushed well past capacity it retains

@@ -84,7 +84,7 @@ fn main() {
              ({} donations)",
             if hb { "on" } else { "off" },
             report.makespan(),
-            report.promote_total().taken,
+            report.total().promotions_taken,
         );
     }
     println!("ok: nested task-parallel Barnes-Hut matches the sequential tree code");

@@ -25,7 +25,7 @@ fn main() {
             "p = {p:2}: sorted {n} keys in {:.4} virtual seconds \
              ({} messages total)",
             report.makespan(),
-            report.traffic.iter().map(|(m, _)| m).sum::<u64>(),
+            report.total().sends,
         );
     }
     println!("ok: identical sorted output at every processor count");
@@ -46,7 +46,7 @@ fn main() {
             "adversarial p = 8 heartbeat {:3}: {:.4} virtual seconds ({} donations)",
             if hb { "on" } else { "off" },
             report.makespan(),
-            report.promote_total().taken,
+            report.total().promotions_taken,
         );
     }
     println!("ok: promoted sort bit-identical with heartbeat on and off");

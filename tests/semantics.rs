@@ -172,7 +172,7 @@ fn rule_replicated_scalars_cost_no_communication() {
             acc = acc.wrapping_add(i * 3);
         }
         let _ = acc;
-        (cx.now(), cx.runtime().sent_msgs())
+        (cx.now(), cx.runtime().counters().sends)
     });
     for &(t, msgs) in &rep.results {
         assert_eq!(t, 0.0, "scalar code must not touch the virtual clock");
